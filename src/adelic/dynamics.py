@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .local import INFINITY_PLACE, Place, local_abs
-from .rational import DomainError, RationalLike, support, valuation
+from .rational import DomainError, RationalLike, _valuation, support
 from .symbols import _sqrt_exact
 
 ATTRACTIVE = "attractive"
@@ -212,7 +212,7 @@ def orbit_probe(
         elif delta == 0:
             entries.append(math.inf)
         else:
-            entries.append(int(valuation(delta, place.prime)))
+            entries.append(int(_valuation(delta, place.prime)))
     return OrbitProbe(tuple(entries), False)
 
 

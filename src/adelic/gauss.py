@@ -29,7 +29,7 @@ from .local import (
     local_abs,
     places_for,
 )
-from .rational import DomainError, RationalLike, require_prime, support, valuation
+from .rational import DomainError, RationalLike, _valuation, require_prime, support
 from .symbols import EighthRoot, ExactFactor, weil_index
 
 _CHUNK = 1 << 20
@@ -148,10 +148,10 @@ def padic_gauss_oracle(a: RationalLike, b: RationalLike, p: int, n_ball: int) ->
         raise DomainError("ball exponent must be nonnegative")
     if n_ball > 12:
         raise DomainError("ball exponent above 12 rejected (cost guard)")
-    va = int(valuation(a, p))
+    va = int(_valuation(a, p))
     period_exp = max(0, 2 * n_ball - va)
     if b != 0:
-        period_exp = max(period_exp, n_ball - int(valuation(b, p)))
+        period_exp = max(period_exp, n_ball - int(_valuation(b, p)))
     modulus = p**period_exp
     if modulus > _MAX_ORACLE_MODULUS:
         raise DomainError(
@@ -220,14 +220,19 @@ def kernel_places(
 
     The root and magnitude parts live on 2 and the support of T; the phase
     part is nontrivial only at primes dividing the denominator of the phase
-    argument, so its (potentially enormous) numerator is never factored.
+    argument.  Each term of that argument is p-integral at a prime p >= 5
+    outside the support of T that divides no denominator of x_out, x_in and
+    accel, so the primes of its (potentially enormous) denominator outside
+    2 and the support of T are found among 3 and those denominators' primes;
+    the denominator itself is never factored.
     """
     T = Fraction(duration)
     if T == 0:
         raise DomainError("propagation time must be nonzero")
-    arg = kernel_phase_argument(x_out, x_in, accel, T)
-    extra = denominator_places(arg)
-    return places_for(T, always=(2,) + tuple(extra))
+    den = kernel_phase_argument(x_out, x_in, accel, T).denominator
+    candidates = denominator_places(x_out, x_in, accel) | {3}
+    extra = tuple(p for p in candidates if den % p == 0)
+    return places_for(T, always=(2,) + extra)
 
 
 def verify_kernel_product(

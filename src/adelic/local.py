@@ -15,16 +15,20 @@ from typing import Mapping
 from .rational import (
     DomainError,
     RationalLike,
+    _valuation,
     factorize,
     require_prime,
     support,
-    valuation,
 )
 
 
 @dataclass(frozen=True, order=False)
 class Place:
-    """The archimedean place (prime=None) or a finite place at a prime."""
+    """The archimedean place (prime=None) or a finite place at a prime.
+
+    The prime is checked here, once; functions that receive a Place use it
+    without checking again.
+    """
 
     prime: int | None
 
@@ -63,7 +67,6 @@ def parse_place(token: str) -> Place:
         p = int(token)
     except ValueError:
         raise DomainError(f"place must be 'inf' or a prime, got {token!r}") from None
-    require_prime(p)
     return Place.finite(p)
 
 
@@ -139,7 +142,7 @@ def local_abs(x: RationalLike, place: Place) -> Fraction:
         return abs(x)
     if x == 0:
         return Fraction(0)
-    v = valuation(x, place.prime)
+    v = _valuation(x, place.prime)
     return Fraction(place.prime) ** (-int(v))
 
 
@@ -150,10 +153,14 @@ def frac_part(x: RationalLike, p: int) -> Fraction:
     x is a p-adic integer.  x - frac_part(x, p) always has valuation >= 0.
     """
     require_prime(p)
-    x = Fraction(x)
+    return _frac_part(Fraction(x), p)
+
+
+def _frac_part(x: Fraction, p: int) -> Fraction:
+    # frac_part for a prime the caller has already checked
     if x == 0:
         return Fraction(0)
-    v = valuation(x, p)
+    v = _valuation(x, p)
     if v >= 0:
         return Fraction(0)
     q = p ** (-int(v))
@@ -169,7 +176,7 @@ def additive_character(x: RationalLike, place: Place) -> RootOfUnity:
     x = Fraction(x)
     if place.is_infinite:
         return RootOfUnity(-x)
-    return RootOfUnity(frac_part(x, place.prime))
+    return RootOfUnity(_frac_part(x, place.prime))
 
 
 def integer_indicator(x: RationalLike, p: int) -> int:
@@ -178,7 +185,7 @@ def integer_indicator(x: RationalLike, p: int) -> int:
     x = Fraction(x)
     if x == 0:
         return 1
-    return 1 if valuation(x, p) >= 0 else 0
+    return 1 if _valuation(x, p) >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -239,6 +246,6 @@ class FiniteAdele:
         listed = set(self.exceptional_primes)
         bad = tuple(
             p for p in support(x)
-            if p not in listed and valuation(x, p) < 0
+            if p not in listed and _valuation(x, p) < 0
         )
         return AdeleCheck(not bad, bad)

@@ -23,12 +23,40 @@ class DomainError(ValueError):
     """An argument falls outside an operation's mathematical domain."""
 
 
+# The first twelve primes.  is_prime screens by trial division with them, and
+# they are the Miller-Rabin bases: together they prove primality of every
+# n < _PSI_12.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Witnesses proving primality for every n < 3.3e24, comfortably past 64 bits.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12 (Sorenson and Webster, 2015): the least strong pseudoprime to every
+# base in _SMALL_PRIMES, about 3.2e23.
+_PSI_12 = 318665857834031151167461
 
 _PRIME_LIMIT = 1 << 64
+
+# factorize divides out the primes below this bound before splitting with rho.
+_TRIAL_BOUND = 1000
+
+# Steps of Brent's rho one split may take before factorize gives up.  rho
+# needs about sqrt(q) steps to find a prime factor q, so only factors past
+# about 1e11 come near the cap; trial division needs hours to reach those.
+_RHO_STEP_LIMIT = 1 << 20
+
+# Steps between two gcds in Brent's rho.
+_RHO_BATCH = 128
+
+
+def primes_up_to(n: int) -> tuple[int, ...]:
+    """The primes p <= n, ascending, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    return tuple(i for i in range(2, n + 1) if sieve[i])
+
+
+_TRIAL_PRIMES = primes_up_to(_TRIAL_BOUND - 1)
 
 
 def is_prime(n: int) -> bool:
@@ -40,12 +68,20 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every base in _SMALL_PRIMES; n odd and above 37.
+
+    A True answer proves n prime when n < _PSI_12.
+    """
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -65,25 +101,79 @@ def require_prime(p: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division.  n must be nonzero."""
+    """Prime factorization of |n|, keys ascending.  n must be nonzero.
+
+    Primes below _TRIAL_BOUND are divided out; each remaining cofactor is
+    proven prime by Miller-Rabin or split with Brent's rho.  Raises
+    DomainError for a cofactor of at least _PSI_12 that passes Miller-Rabin,
+    since the witnesses prove nothing there, and for a split that exceeds
+    _RHO_STEP_LIMIT.
+    """
     if n == 0:
         raise DomainError("0 has no prime factorization")
     n = abs(n)
     factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
             while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
                 n //= p
-        d += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+                e += 1
+            factors[p] = e
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        # below _TRIAL_BOUND**2, having no factor below the bound makes m prime
+        if m < _TRIAL_BOUND**2 or _strong_probable_prime(m):
+            if m >= _PSI_12:
+                raise DomainError(f"cannot prove {m} prime: above the Miller-Rabin bound {_PSI_12}")
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho_split(m)
+            pending += (d, m // d)
+    return dict(sorted(factors.items()))
+
+
+def _rho_split(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of Pollard's rho.
+
+    Iterates y -> y*y + c mod n, multiplying the differences of a batch of
+    steps before each gcd (Brent, BIT 20, 1980).  A run that closes its cycle
+    without a proper divisor retries with the next c.
+    """
+    steps = 0
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEP_LIMIT:
+                raise DomainError(f"no factor of {n} found within {_RHO_STEP_LIMIT} rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                batch = min(_RHO_BATCH, r - k)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: step again from its start, one gcd per step
+            while True:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+                if g > 1:
+                    break
+        if g != n:
+            return g
 
 
 def valuation(x: RationalLike, p: int) -> int | float:
@@ -92,7 +182,11 @@ def valuation(x: RationalLike, p: int) -> int | float:
     Returns INFINITE for x = 0 (the |0|_p = 0 convention).
     """
     require_prime(p)
-    x = Fraction(x)
+    return _valuation(Fraction(x), p)
+
+
+def _valuation(x: Fraction, p: int) -> int | float:
+    # valuation for a prime the caller has already checked
     if x == 0:
         return INFINITE
     v = 0
@@ -168,12 +262,16 @@ def digit_expansion(x: RationalLike, p: int, n: int) -> DigitExpansion:
     a with the inverse of b, then read off digit by digit.
     """
     require_prime(p)
-    x = Fraction(x)
+    return _digit_expansion(Fraction(x), p, n)
+
+
+def _digit_expansion(x: Fraction, p: int, n: int) -> DigitExpansion:
+    # digit_expansion for a prime the caller has already checked
     if x == 0:
         raise DomainError("0 has no canonical digit expansion")
     if n < 1:
         raise DomainError("digit count must be positive")
-    v = valuation(x, p)
+    v = _valuation(x, p)
     u = x / Fraction(p) ** v
     modulus = p**n
     residue = u.numerator * pow(u.denominator, -1, modulus) % modulus

@@ -17,7 +17,7 @@ from functools import lru_cache
 from scipy.integrate import quad
 
 from .local import Place
-from .rational import DomainError
+from .rational import DomainError, primes_up_to
 
 _POLE_TOL = 1e-8
 
@@ -271,14 +271,7 @@ def real_vacuum_moment(a: float, limit: int = 200) -> float:
     return 2.0 * val
 
 
-@lru_cache(maxsize=8)
-def _primes_up_to(n: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return tuple(i for i in range(2, n + 1) if sieve[i])
+_primes_up_to = lru_cache(maxsize=8)(primes_up_to)
 
 
 @lru_cache(maxsize=8)

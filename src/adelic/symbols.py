@@ -16,10 +16,9 @@ from .local import Place, RootOfUnity, places_for
 from .rational import (
     DomainError,
     RationalLike,
-    digit_expansion,
+    _digit_expansion,
+    _valuation,
     require_prime,
-    unit_part,
-    valuation,
 )
 
 
@@ -137,6 +136,11 @@ def legendre_symbol(a: int, p: int) -> int:
     require_prime(p)
     if p == 2:
         raise DomainError("Legendre symbol requires an odd prime")
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
+    # legendre_symbol for an odd prime the caller has already checked
     a %= p
     if a == 0:
         return 0
@@ -147,7 +151,7 @@ def legendre_symbol(a: int, p: int) -> int:
 def _legendre_of_unit(u: Fraction, p: int) -> int:
     # (num/den / p) = (num/p)(den/p) since the symbol is multiplicative and
     # squares drop out; u is a p-adic unit, so neither part vanishes.
-    return legendre_symbol(u.numerator % p, p) * legendre_symbol(u.denominator % p, p)
+    return _legendre(u.numerator, p) * _legendre(u.denominator, p)
 
 
 def _unit_mod8(u: Fraction) -> int:
@@ -170,10 +174,10 @@ def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
     if place.is_infinite:
         return -1 if (x < 0 and y < 0) else 1
     p = place.prime
-    alpha = int(valuation(x, p))
-    beta = int(valuation(y, p))
-    u = unit_part(x, p)
-    w = unit_part(y, p)
+    alpha = int(_valuation(x, p))
+    beta = int(_valuation(y, p))
+    u = x / Fraction(p) ** alpha
+    w = y / Fraction(p) ** beta
     if p != 2:
         eps = (p - 1) // 2
         sign = -1 if (alpha * beta * eps) % 2 else 1
@@ -208,16 +212,16 @@ def weil_index(x: RationalLike, place: Place) -> EighthRoot:
     if place.is_infinite:
         return EighthRoot(-1 if x > 0 else 1)
     p = place.prime
-    v = int(valuation(x, p))
+    v = int(_valuation(x, p))
     if p != 2:
         if v % 2 == 0:
             return EighthRoot.one()
-        exp = digit_expansion(x, p, 1)
+        exp = _digit_expansion(x, p, 1)
         k = 0 if p % 4 == 1 else 2
-        if legendre_symbol(exp.digits[0], p) == -1:
+        if _legendre(exp.digits[0], p) == -1:
             k += 4
         return EighthRoot(k)
-    exp = digit_expansion(x, 2, 3)
+    exp = _digit_expansion(x, 2, 3)
     x1, x2 = exp.digits[1], exp.digits[2]
     if v % 2 == 0:
         return EighthRoot(1 - 2 * x1)

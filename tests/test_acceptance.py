@@ -307,6 +307,23 @@ def test_dynamics_exceptional_sets_and_orbits():
         assert other.label_at(Place.finite(2)) == "repelling"
 
 
+def test_factoring_past_trial_division(capsys):
+    with criterion("2^61-1 verified in < 0.2s; prime above 2^64 rejected, exit 2, in < 0.5s"):
+        start = time.perf_counter()
+        code = cli_main(["verify", "norm-product", "2305843009213693951", "--json"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "ExactPass"
+        assert elapsed < 0.2, f"2^61-1 took {elapsed:.2f}s"
+
+        start = time.perf_counter()
+        code = cli_main(["verify", "norm-product", "18446744073709551629"])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert "18446744073709551629" in capsys.readouterr().err
+        assert elapsed < 0.5, f"2^64+13 took {elapsed:.2f}s"
+
+
 def test_cli_contract(capsys):
     with criterion("CLI: documented exit codes + JSON round trip per subcommand"):
         code = cli_main(["verify", "norm-product", "12"])

@@ -19,7 +19,7 @@ from adelic.gauss import (
     verify_kernel_product,
 )
 from adelic.local import INFINITY_PLACE, Place, additive_character, local_abs
-from adelic.rational import DomainError, valuation
+from adelic.rational import DomainError, factorize, valuation
 from adelic.symbols import EighthRoot, ExactFactor
 
 P2, P3, P5, P7 = (Place.finite(p) for p in (2, 3, 5, 7))
@@ -167,6 +167,21 @@ class TestKernel:
             lam = _rand_rational(rng, 50)
             T = _rand_rational(rng, 50, nonzero=True)
             assert verify_kernel_product(x2, x1, lam, T).ok
+
+    def test_places_match_factoring_the_phase_denominator(self):
+        # kernel_places avoids factoring the phase denominator; the place set
+        # must be what factoring it gives
+        rng = random.Random(17)
+        for _ in range(300):
+            height = rng.choice((10, 1000, 10**6))
+            x2, x1, lam = (_rand_rational(rng, height) for _ in range(3))
+            T = _rand_rational(rng, height, nonzero=True)
+            den = kernel_phase_argument(x2, x1, lam, T).denominator
+            expected = {2} | set(factorize(T.numerator)) | set(factorize(T.denominator))
+            expected |= set(factorize(den))
+            places = kernel_places(x2, x1, lam, T)
+            assert places[0] == INFINITY_PLACE
+            assert [v.prime for v in places[1:]] == sorted(expected)
 
     def test_zero_acceleration_reduces_to_gauss_factors(self):
         rng = random.Random(13)

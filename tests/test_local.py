@@ -15,7 +15,9 @@ from adelic.local import (
     local_abs,
     parse_place,
 )
-from adelic.rational import DomainError, support, valuation
+from adelic.gauss import padic_gauss_oracle
+from adelic.rational import DomainError, digit_expansion, support, unit_part, valuation
+from adelic.symbols import legendre_symbol
 
 P2, P3, P5, P7 = (Place.finite(p) for p in (2, 3, 5, 7))
 
@@ -41,6 +43,35 @@ class TestPlace:
     def test_composite_rejected(self):
         with pytest.raises(DomainError):
             Place.finite(10)
+
+    @pytest.mark.parametrize("n", [91, 9, 4, 1, 0, -7, 2**64 + 13])
+    def test_built_only_from_a_prime(self, n):
+        for build in (Place, Place.finite, lambda k: parse_place(str(k))):
+            with pytest.raises(DomainError):
+                build(n)
+
+
+class TestPublicEntryPointsCheckThePrime:
+    """Per-place helpers skip the check; the public functions must not."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: valuation(10, 6),
+            lambda: unit_part(10, 6),
+            lambda: frac_part(Fraction(1, 6), 6),
+            lambda: digit_expansion(Fraction(1, 3), 9, 2),
+            lambda: legendre_symbol(2, 9),
+            lambda: integer_indicator(Fraction(1, 4), 4),
+            lambda: padic_gauss_oracle(1, 0, 9, 1),
+            lambda: FiniteAdele(Fraction(1, 6), ((6, Fraction(1)),)),
+            lambda: Place.finite(91),
+            lambda: parse_place("91"),
+        ],
+    )
+    def test_non_prime_rejected(self, call):
+        with pytest.raises(DomainError, match="not prime"):
+            call()
 
 
 class TestLocalAbs:

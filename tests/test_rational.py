@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,11 +43,75 @@ class TestPrimality:
             is_prime(2**64 + 13)
 
 
+def trial_division(n):
+    """Reference factorization of n >= 1 by dividing with every d up to sqrt(n)."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+# the least strong pseudoprime to the bases 2..37: composite, yet every one of
+# the twelve Miller-Rabin witnesses passes it
+PSI_12 = 318665857834031151167461
+
+
 class TestFactorize:
     def test_examples(self):
         assert factorize(12) == {2: 2, 3: 1}
         assert factorize(1) == {}
         assert factorize(97) == {97: 1}
+
+    def test_large_primes_and_semiprimes(self):
+        assert factorize(2**61 - 1) == {2**61 - 1: 1}
+        assert factorize(2147483647 * 2147483629) == {2147483629: 1, 2147483647: 1}
+        assert factorize(-(2**64 + 13)) == {2**64 + 13: 1}
+
+    def test_product_of_primes_below_a_million(self):
+        expected = {2: 3, 3: 1, 7919: 2, 104729: 1, 524287: 1, 999979: 2, 999983: 3}
+        n = math.prod(p**e for p, e in expected.items())
+        assert n.bit_length() > 150
+        f = factorize(n)
+        assert f == expected
+        assert list(f) == sorted(f)
+
+    def test_primes_near_the_witness_bound(self):
+        assert PSI_12 == 399165290221 * 798330580441
+        # below the bound the witnesses prove primality
+        assert factorize(PSI_12 - 20) == {PSI_12 - 20: 1}
+        assert factorize(3 * (PSI_12 - 20)) == {3: 1, PSI_12 - 20: 1}
+        # at the bound a cofactor that passes them could be composite
+        with pytest.raises(DomainError):
+            factorize(PSI_12)
+
+    def test_unsplittable_product_raises_instead_of_hanging(self):
+        # two primes just above 2**64: rho would need ~2**32 steps
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            factorize((2**64 + 13) * (2**64 + 37))
+        assert time.perf_counter() - start < 2.0
+
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=10**12),
+            st.builds(
+                lambda a, b: a * b,
+                st.integers(min_value=1000, max_value=10**6),
+                st.integers(min_value=1000, max_value=10**6),
+            ),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_trial_division(self, n):
+        f = factorize(n)
+        assert f == trial_division(n)
+        assert list(f) == sorted(f)
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
