@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-from scipy.integrate import quad
-
 from .local import (
     Place,
     RootOfUnity,
@@ -160,6 +157,8 @@ def padic_gauss_oracle(a: RationalLike, b: RationalLike, p: int, n_ball: int) ->
     # residues of a/p**(2N) and b/p**N rescaled to denominator modulus
     c2 = _scaled_residue(a, p, period_exp - 2 * n_ball, modulus)
     c1 = _scaled_residue(b, p, period_exp - n_ball, modulus) if b != 0 else 0
+    import numpy as np  # deferred so that importing adelic does not load numpy
+
     total = 0j
     for start in range(0, modulus, _CHUNK):
         n = np.arange(start, min(start + _CHUNK, modulus), dtype=np.int64)
@@ -315,6 +314,8 @@ def fourier_self_dual_check(k: RationalLike) -> bool:
 
 def gaussian_fourier_residual(k: float) -> float:
     """|quadrature of the Gaussian Fourier integral at k minus exp(-pi k**2)|."""
+    from scipy.integrate import quad  # deferred so that importing adelic does not load scipy
+
     val, _ = quad(
         lambda x: math.exp(-math.pi * x * x) * math.cos(2 * math.pi * k * x),
         0.0,

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .local import Place
 from .rational import DomainError, primes_up_to
 
@@ -170,7 +168,8 @@ class GammaProductReport:
     raw_partial_bound: int
 
 
-_SMALL_PRIME_LIST = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# built once: a Place checks its prime when constructed
+_SMALL_PRIME_PLACES = tuple(Place.finite(p) for p in primes_up_to(47))
 
 
 def verify_gamma_product(u: complex, raw_bound: int = 47) -> GammaProductReport:
@@ -181,10 +180,10 @@ def verify_gamma_product(u: complex, raw_bound: int = 47) -> GammaProductReport:
     z_u = riemann_zeta(u)
     z_cu = riemann_zeta(1 - u)
     raw = 1 + 0j
-    for p in _SMALL_PRIME_LIST:
-        if p > raw_bound:
+    for place in _SMALL_PRIME_PLACES:
+        if place.prime > raw_bound:
             break
-        raw *= gamma_local(u, Place.finite(p))
+        raw *= gamma_local(u, place)
     if abs(z_cu) < _POLE_TOL:
         # gamma_infinity vanishes exactly where the regularized product blows
         # up; the combined expression cancels to 1.
@@ -262,6 +261,8 @@ def real_vacuum_moment(a: float, limit: int = 200) -> float:
     """Quadrature of the moment integral of exp(-pi x**2) |x|**(a-1) over the line."""
     if a <= 0:
         raise DomainError("moment integral requires a > 0")
+    from scipy.integrate import quad  # deferred so that importing adelic does not load scipy
+
     val, _ = quad(
         lambda x: math.exp(-math.pi * x * x) * x ** (a - 1.0),
         0.0,

@@ -20,17 +20,15 @@ from typing import Callable
 
 from . import gauss, special
 from .local import Place, additive_character, local_abs, places_for
-from .rational import DomainError, parse_rational
+from .rational import DomainError, parse_rational, primes_up_to
 from .symbols import ExactFactor, hilbert_symbol, weil_index
 
 EXACT_PASS = "ExactPass"
 NUMERIC_PASS = "NumericPass"
 FAIL = "Fail"
 
-_SPOT_CHECK_PRIMES = (
-    53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-    127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191,
-)
+# the primes in (47, 191], built once: a Place checks its prime when constructed
+_SPOT_CHECK_PLACES = tuple(Place.finite(p) for p in primes_up_to(191) if p > 47)
 
 _COMPLEX_RE = re.compile(
     r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?)(?:(?P<im>[+-]\d+(?:\.\d+)?)i)?\s*$"
@@ -230,7 +228,7 @@ class Registry:
         rng: random.Random | None,
     ) -> Place | None:
         used = {v.prime for v in places if not v.is_infinite}
-        pool = [p for p in _SPOT_CHECK_PRIMES if p not in used]
+        pool = [v for v in _SPOT_CHECK_PLACES if v.prime not in used]
         if not pool:
             return None
         if rng is None:
@@ -238,7 +236,7 @@ class Registry:
             index = zlib.crc32("|".join(rendered).encode()) % len(pool)
         else:
             index = rng.randrange(len(pool))
-        return Place.finite(pool[index])
+        return pool[index]
 
     def random_suite(
         self, name: str, trials: int, height_bound: int, seed: int, tol: float = 1e-8

@@ -7,10 +7,15 @@ budget and prints a single PASS/FAIL line (run pytest with -s to see them).
 import contextlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import adelic
 from adelic.cli import main as cli_main
 from adelic.dynamics import (
     MoebiusMap,
@@ -59,6 +64,9 @@ from oracles import hilbert_solvable, legendre_table
 from test_dynamics import confirm_label_by_orbit
 
 REGISTRY = default_registry()
+
+# the directory that holds the adelic package, for child interpreters
+_PACKAGE_ROOT = str(Path(adelic.__file__).resolve().parents[1])
 
 
 @contextlib.contextmanager
@@ -375,3 +383,56 @@ def test_cli_contract(capsys):
             assert code == 0, argv
             payload = json.loads(out)
             assert json.loads(json.dumps(payload, sort_keys=True)) == payload, argv
+
+
+def _run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this adelic, with UTF-8 output."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, encoding="utf-8", timeout=60
+    )
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+stages = {}
+import adelic
+stages["import adelic"] = loaded()
+import adelic.cli
+stages["import adelic.cli"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [adelic.cli.main(argv) for argv in (
+        ["verify", "norm-product", "12"], ["gauss", "1", "0", "2"], ["wavefn", "1/2"])]
+stages["three commands"] = loaded()
+residual = adelic.mellin_vacuum(2.0).residual
+stages["mellin_vacuum"] = loaded()
+print(json.dumps({"stages": stages, "codes": codes, "residual": residual}))
+"""
+
+
+def test_scipy_and_numpy_load_only_where_used():
+    with criterion("import adelic and exact CLI commands load neither scipy nor numpy"):
+        result = _run_python(["-c", _IMPORT_PROBE])
+        assert result.returncode == 0, result.stderr
+        probe = json.loads(result.stdout)
+        stages = probe["stages"]
+        assert stages["import adelic"] == []
+        assert stages["import adelic.cli"] == []
+        assert probe["codes"] == [0, 0, 0]
+        assert stages["three commands"] == []
+        assert "scipy" in stages["mellin_vacuum"]
+        assert probe["residual"] <= 1e-8
+
+
+def test_cli_cold_start():
+    with criterion("CLI cold start: best of 3 `python -m adelic.cli verify norm-product 12` < 0.3s"):
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = _run_python(["-m", "adelic.cli", "verify", "norm-product", "12"])
+            elapsed.append(time.perf_counter() - start)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip() == "1 = 12 × 1/4 × 1/3 ✓ exact"
+        assert min(elapsed) < 0.3, f"cold starts took {', '.join(f'{t:.2f}' for t in elapsed)}s"

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from adelic import local
 from adelic.local import places_for
-from adelic.rational import DomainError, parse_rational
+from adelic.rational import DomainError, parse_rational, require_prime
+from adelic.special import verify_gamma_product
 from adelic.symbols import ExactFactor
 from adelic.verifier import (
     EXACT_PASS,
@@ -104,6 +106,33 @@ class TestRegistry:
         report = reg.verify("bad-norm", (Fraction(6),))
         assert report.verdict == FAIL
         assert "unsound" in report.diagnostic
+
+
+class TestConstantPlaces:
+    """The fixed prime tables are Places built once, not checked on every call."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        primes = []
+
+        def counting_require_prime(p):
+            primes.append(p)
+            return require_prime(p)
+
+        monkeypatch.setattr(local, "require_prime", counting_require_prime)
+        return primes
+
+    def test_gamma_product_checks_no_prime(self, checked):
+        report = verify_gamma_product(2.5 + 0.5j)
+        assert report.raw_partial_bound == 47
+        assert checked == []
+
+    def test_spot_check_checks_only_the_support(self, registry, checked):
+        report = registry.verify("norm-product", (Fraction(12),))
+        assert report.verdict == EXACT_PASS
+        report = registry.verify("norm-product", (Fraction(12),), rng=random.Random(1))
+        assert report.verdict == EXACT_PASS
+        assert checked == [2, 3, 2, 3]
 
 
 class TestReports:
