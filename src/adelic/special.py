@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 from .local import Place
 from .rational import DomainError, primes_up_to
@@ -59,41 +61,76 @@ def complex_gamma(z: complex) -> complex:
     return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
+def _largest_term_count() -> int:
+    """Largest series length n whose partial sums cannot overflow a double.
+
+    The weight magnitudes below sum to sum_k (d_n - d_k) = 2 n U_{n-1}(3),
+    with U the Chebyshev polynomial of the second kind (d_n = T_n(3), and the
+    summands of d_n are the coefficients of T_n(1 + 2x)).  For Re s >= 1/2
+    that sum bounds every partial sum, and it exceeds d_n |1 - 2**(1-s)|;
+    half the largest double leaves room for rounding.
+    """
+    n, u_previous, u = 1, 0, 1  # u = U_{n-1}(3); U_{m+1} = 6 U_m - U_{m-1}
+    while 2 * (n + 1) * (6 * u - u_previous) <= sys.float_info.max / 2:
+        n, u_previous, u = n + 1, u, 6 * u - u_previous
+    return n
+
+
+_MAX_TERMS = _largest_term_count()
+
+
 @lru_cache(maxsize=64)
-def _borwein_coefficients(n: int) -> tuple[tuple[int, ...], int]:
-    # d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), exact integers
-    term = Fraction(1, n)
-    acc = term
-    ds = []
+def _borwein_series(n: int) -> tuple[tuple[complex, ...], tuple[complex, ...], int]:
+    """Signed weights (-1)**k (d_k - d_n), log(k + 1) for k < n, and d_n.
+
+    d_k = n * sum_{i<=k} (n+i-1)! 4**i / ((n-i)! (2i)!) is computed in exact
+    integers (every summand is an integer), and each weight is rounded once
+    to a double.  Weights and logarithms are held as complex numbers with
+    zero imaginary part, the form a real operand of a complex product is
+    converted to, which saves that conversion per term.  The tests compare
+    every bit with a loop that converts exact integer weights term by term.
+    """
+    term = 1
+    d = [1]
     for i in range(n):
-        ds.append(acc)
-        term = term * (4 * (n + i) * (n - i)) / ((2 * i + 1) * (2 * i + 2))
-        acc += term
-    ds.append(acc)
-    d = []
-    for x in ds:
-        scaled = x * n
-        assert scaled.denominator == 1
-        d.append(scaled.numerator)
-    return tuple(d[:-1]), d[-1]
+        term = term * (4 * (n + i) * (n - i)) // ((2 * i + 1) * (2 * i + 2))
+        d.append(d[-1] + term)
+    dn = d[n]
+    weights = tuple(complex(d[k] - dn if k % 2 == 0 else dn - d[k]) for k in range(n))
+    return weights, tuple(complex(math.log(k)) for k in range(1, n + 1)), dn
 
 
 class ZetaEvaluator:
     """Riemann zeta on C by an accelerated alternating series plus reflection.
 
     For Re(s) >= 1/2 the alternating Dirichlet eta series is summed with
-    Chebyshev-weighted acceleration (exact integer weights), then divided by
-    1 - 2**(1-s); the left half plane goes through the functional equation.
-    The error target is validated against fixed reference values in the tests.
+    Chebyshev-weighted acceleration (weights computed in exact integers and
+    rounded once to doubles), then divided by 1 - 2**(1-s); the left half
+    plane goes through the functional equation.  The evaluator remembers the
+    last point it summed the series at, so the pair zeta(s), zeta(1-s) sums
+    it once.  |Im s| must stay below max_imag, past which the weighted sum
+    could overflow a double; beyond it a DomainError is raised.  The error
+    target is validated against fixed reference values in the tests.
     """
 
     method = "accelerated alternating eta series + reflection"
     target_precision = 1e-12
+    # n = 28 + int(1.4 |Im s|) terms; n <= _MAX_TERMS iff 1.4 |Im s| < _MAX_TERMS - 27
+    max_imag = (_MAX_TERMS - 27) / 1.4
+
+    def __init__(self) -> None:
+        # (point, value) of the last series sum; nan equals no point
+        self._last = (complex(math.nan, 0.0), 0j)
 
     def __call__(self, s: complex) -> complex:
         s = complex(s)
         if abs(s - 1) < _POLE_TOL:
             raise PoleError("zeta pole at 1", location=1)
+        if not 1.4 * abs(s.imag) < _MAX_TERMS - 27:
+            raise DomainError(
+                f"riemann_zeta needs |Im s| < {self.max_imag:.2f}, where its series "
+                f"stays within the double range; got s = {s}"
+            )
         if s.real < 0.5:
             # zeta(s) = 2**s pi**(s-1) sin(pi s / 2) gamma(1 - s) zeta(1 - s)
             return (
@@ -103,17 +140,20 @@ class ZetaEvaluator:
                 * complex_gamma(1 - s)
                 * self(1 - s)
             )
+        last, value = self._last
+        # == ignores the sign of a zero Im s, which the weighted terms drop too
+        if s == last:
+            return value
         n = 28 + int(1.4 * abs(s.imag))
-        dk, dn = _borwein_coefficients(n)
-        acc = 0j
-        sign = 1
-        for k in range(n):
-            acc += sign * (dk[k] - dn) * cmath.exp(-s * math.log(k + 1))
-            sign = -sign
+        weights, logs, dn = _borwein_series(n)
+        # reduce adds left to right from 0j on every Python; sum() may compensate
+        acc = reduce(add, map(mul, weights, map(cmath.exp, map(mul, repeat(-s, n), logs))), 0j)
         denom = 1 - 2 ** (1 - s)
         if abs(denom) < 1e-9:
             raise PoleError(f"alternating-series pole point at {s}", location=s)
-        return -acc / (dn * denom)
+        value = -acc / (dn * denom)
+        self._last = (s, value)
+        return value
 
 
 riemann_zeta = ZetaEvaluator()
@@ -247,7 +287,10 @@ def zeta_adelic(a: complex) -> complex:
     ):
         reflected = 1 - a
         return zeta_local(reflected, Place.infinity()) * riemann_zeta(reflected)
-    return zeta_local(a, Place.infinity()) * riemann_zeta(a)
+    # zeta first: past its |Im a| range it raises DomainError, where the gamma
+    # factor can overflow
+    value = riemann_zeta(a)
+    return zeta_local(a, Place.infinity()) * value
 
 
 def verify_functional_equation(a: complex) -> float:
@@ -320,17 +363,16 @@ def mellin_vacuum(a: float, quadrature_n: int = 200, prime_bound: int = 100_000)
     if a <= 1:
         raise DomainError("the vacuum Mellin transform requires a > 1")
     moment = real_vacuum_moment(a, limit=quadrature_n)
-    log_finite = 0.0
     primes = _primes_up_to(prime_bound)
-    for p in primes:
-        log_finite -= math.log1p(-float(p) ** (-a))
+    # int ** float rounds as float(p) ** float; reduce subtracts left to right
+    log_finite = reduce(sub, map(math.log1p, map(neg, map(pow, primes, repeat(-a)))), 0.0)
     # tail of log prod (1-p^-a)^-1 over p > prime_bound:
     # sum_k (prime_zeta(k a) - partial_sum(k a)) / k; the k-th term is of
     # order prime_bound**(1 - k a), negligible past k a ~ 4
     log_tail = 0.0
     k = 1
     while k * a < 8.0:
-        partial = sum(float(p) ** (-k * a) for p in primes)
+        partial = sum(map(pow, primes, repeat(-k * a)))
         log_tail += (_prime_zeta(k * a) - partial) / k
         k += 1
     numeric = math.sqrt(2.0) * moment * math.exp(log_finite + log_tail)

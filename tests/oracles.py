@@ -3,14 +3,19 @@
 These deliberately avoid the library's closed forms: quadratic residues by
 exhaustive squaring, Hilbert symbols by searching for solutions of the
 ternary quadratic modulo prime powers, local zeta factors by shell sums.
+The one exception is zeta_exact_weights, a bit-for-bit reference for the
+library's zeta series rather than an independent oracle.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from adelic.rational import valuation
+from adelic.special import PoleError, complex_gamma
 
 
 def legendre_table(p: int) -> dict[int, int]:
@@ -84,3 +89,54 @@ def zeta_shell_sum(a: float, p: int, tol: float = 1e-12) -> float:
             break
         k += 1
     return total / (1 - 1 / p)
+
+
+@lru_cache(maxsize=None)
+def borwein_coefficients(n: int) -> tuple[tuple[int, ...], int]:
+    # d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), exact integers
+    term = Fraction(1, n)
+    acc = term
+    ds = []
+    for i in range(n):
+        ds.append(acc)
+        term = term * (4 * (n + i) * (n - i)) / ((2 * i + 1) * (2 * i + 2))
+        acc += term
+    ds.append(acc)
+    d = []
+    for x in ds:
+        scaled = x * n
+        assert scaled.denominator == 1
+        d.append(scaled.numerator)
+    return tuple(d[:-1]), d[-1]
+
+
+def zeta_exact_weights(s: complex) -> complex:
+    """Riemann zeta by the plain loop over exact integer weights.
+
+    The same series, term count, summation order and reflection as
+    special.ZetaEvaluator, but every term converts sign * (d_k - d_n) from
+    exact integers on the fly, with no precomputed doubles and no memo, so
+    the library must return exactly this value.
+    """
+    s = complex(s)
+    if abs(s - 1) < 1e-8:
+        raise PoleError("zeta pole at 1", location=1)
+    if s.real < 0.5:
+        return (
+            2**s
+            * math.pi ** (s - 1)
+            * cmath.sin(math.pi * s / 2)
+            * complex_gamma(1 - s)
+            * zeta_exact_weights(1 - s)
+        )
+    n = 28 + int(1.4 * abs(s.imag))
+    dk, dn = borwein_coefficients(n)
+    acc = 0j
+    sign = 1
+    for k in range(n):
+        acc += sign * (dk[k] - dn) * cmath.exp(-s * math.log(k + 1))
+        sign = -sign
+    denom = 1 - 2 ** (1 - s)
+    if abs(denom) < 1e-9:
+        raise PoleError(f"alternating-series pole point at {s}", location=s)
+    return -acc / (dn * denom)

@@ -106,6 +106,11 @@ class TestEvaluationCommands:
         code, _, err = run(capsys, "zeta", "1")
         assert code == 2 and "pole" in err.lower()
 
+    def test_zeta_past_series_range_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "zeta", "0.5+300i")
+        assert code == 2 and out == ""
+        assert "|Im s| < 265.71" in err and "Traceback" not in err
+
     def test_mellin(self, capsys):
         code, out, _ = run(capsys, "mellin", "2", "--json")
         assert code == 0

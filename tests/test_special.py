@@ -1,13 +1,17 @@
 import math
 import random
+import sys
+import threading
 
 import mpmath
 import pytest
 
+from adelic import special
 from adelic.local import INFINITY_PLACE, Place
 from adelic.rational import DomainError
 from adelic.special import (
     PoleError,
+    ZetaEvaluator,
     beta_local,
     complex_gamma,
     gamma_local,
@@ -21,7 +25,7 @@ from adelic.special import (
     zeta_local,
 )
 
-from oracles import zeta_shell_sum
+from oracles import borwein_coefficients, zeta_exact_weights, zeta_shell_sum
 
 P2, P3, P5 = (Place.finite(p) for p in (2, 3, 5))
 
@@ -68,6 +72,135 @@ class TestZetaEvaluator:
     def test_pole_at_one(self):
         with pytest.raises(PoleError):
             riemann_zeta(1)
+
+
+def _mpmath_error(value: complex, s: complex) -> float:
+    ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+    return abs(value - ref) / max(1.0, abs(ref))
+
+
+class TestZetaSeries:
+    """The double weights and the memo change no bit of the exact-weight loop."""
+
+    def test_bit_identical_to_exact_weight_loop(self):
+        rng = random.Random(43)
+        points = [complex(rng.uniform(-4, 9), rng.uniform(-120, 120)) for _ in range(2000)]
+        points += [2, 3.5, 40, 61.3, 0.5, -1.5, 7 + 0j, complex(5, -0.0)]
+        for s in points:
+            got, want = riemann_zeta(s), zeta_exact_weights(s)
+            assert got == want and repr(got) == repr(want), s
+
+    def test_pair_with_reflection_matches_fresh_evaluators(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            u = complex(rng.uniform(-4, 5), rng.uniform(-60, 60))
+            evaluator = ZetaEvaluator()
+            pair = evaluator(u), evaluator(1 - u)
+            assert repr(pair) == repr((ZetaEvaluator()(u), ZetaEvaluator()(1 - u))), u
+            assert repr(pair) == repr((zeta_exact_weights(u), zeta_exact_weights(1 - u))), u
+
+    def test_memo_returns_what_a_fresh_evaluator_returns(self):
+        evaluator = ZetaEvaluator()
+        pairs = ((2.5 + 3j, 0.7 - 11j), (-1.5 + 4j, 3 + 2j), (complex(3, 0.0), complex(3, -0.0)))
+        for a, b in pairs:
+            for s in (a, b, a, a, b):
+                assert repr(evaluator(s)) == repr(ZetaEvaluator()(s)), s
+
+    def test_shared_memo_under_threads(self):
+        # the memo is one (point, value) tuple swapped whole, so a thread that
+        # reads another thread's entry still gets the value for that point
+        rng = random.Random(53)
+        points = [complex(rng.uniform(-3, 4), rng.uniform(-30, 30)) for _ in range(40)]
+        expected = {s: zeta_exact_weights(s) for u in points for s in (u, 1 - u)}
+        evaluator = ZetaEvaluator()
+        wrong = []
+
+        def work(offset):
+            for i in range(400):
+                u = points[(offset + i) % len(points)]
+                for s in (u, 1 - u):
+                    if evaluator(s) != expected[s]:
+                        wrong.append(s)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("pole", [1, complex(1, 2 * math.pi / math.log(2))])
+    def test_pole_raises_on_every_attempt(self, pole):
+        evaluator = ZetaEvaluator()
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                evaluator(pole)
+        assert evaluator(2) == ZetaEvaluator()(2)
+
+    @pytest.mark.parametrize("u", [2.5 + 0.5j, -1.3 + 7.5j, 0.5 + 12j, 3, 4.25 - 30j])
+    def test_gamma_and_functional_reports_warm_or_cold(self, monkeypatch, u):
+        warm = [repr(verify_gamma_product(u)) for _ in range(2)]
+        warm += [repr(verify_functional_equation(u)) for _ in range(2)]
+        monkeypatch.setattr(special, "riemann_zeta", zeta_exact_weights)
+        cold = [repr(verify_gamma_product(u)), repr(verify_functional_equation(u))]
+        assert warm == [cold[0], cold[0], cold[1], cold[1]]
+
+    @pytest.mark.parametrize("a,b", [(0.3 + 0.2j, 1.7 - 0.4j), (-2.2 + 5j, 1.1 - 17.5j)])
+    def test_beta_reports_warm_or_cold(self, monkeypatch, a, b):
+        warm = [repr(verify_beta_product(a, b)) for _ in range(2)]
+        monkeypatch.setattr(special, "riemann_zeta", ZetaEvaluator())
+        fresh = repr(verify_beta_product(a, b))
+        monkeypatch.setattr(special, "riemann_zeta", zeta_exact_weights)
+        assert warm == [fresh, fresh] == [repr(verify_beta_product(a, b))] * 2
+
+
+class TestZetaRange:
+    def test_limit_is_where_the_series_leaves_the_double_range(self):
+        # every partial sum is bounded by sum_k (d_n - d_k) = 2 n U_{n-1}(3)
+        u_previous, u = 0, 1
+        for n in range(1, special._MAX_TERMS + 2):
+            dk, dn = borwein_coefficients(n)
+            assert sum(dn - d for d in dk) == 2 * n * u
+            fits = 2 * n * u <= sys.float_info.max / 2
+            assert fits == (n <= special._MAX_TERMS), n
+            u_previous, u = u, 6 * u - u_previous
+        assert special._MAX_TERMS == 28 + int(1.4 * 265.7)
+        assert ZetaEvaluator.max_imag == pytest.approx(265.714, abs=1e-3)
+
+    @pytest.mark.parametrize("s", [0.5 + 265j, 0.5 - 265.7j, -3 + 265.7j, 9 + 265.7j])
+    def test_accurate_up_to_the_limit(self, s):
+        assert _mpmath_error(riemann_zeta(s), s) <= ZetaEvaluator.target_precision
+
+    @pytest.mark.parametrize(
+        "s", [0.5 + 300j, 0.5 - 265.72j, -2 + 300j, complex(2, math.inf), complex(2, math.nan)]
+    )
+    def test_past_the_limit_is_a_domain_error(self, s):
+        with pytest.raises(DomainError, match="265.71") as info:
+            riemann_zeta(s)
+        assert not isinstance(info.value, PoleError)
+
+    def test_raised_before_any_work(self, monkeypatch):
+        def untouchable(*args):
+            raise AssertionError("work started past the limit")
+
+        monkeypatch.setattr(special, "complex_gamma", untouchable)
+        monkeypatch.setattr(special, "_borwein_series", untouchable)
+        for s in (0.5 + 300j, -2 + 300j):
+            with pytest.raises(DomainError, match="265.71"):
+                ZetaEvaluator()(s)
+
+    @pytest.mark.parametrize("a", [-2 + 300j, 0.5 + 1000j])
+    def test_completed_zeta_past_the_limit(self, a):
+        # at 0.5 + 1000j the archimedean gamma factor alone would overflow
+        with pytest.raises(DomainError, match="265.71") as info:
+            zeta_adelic(a)
+        assert not isinstance(info.value, PoleError)
 
 
 class TestGammaLocal:
