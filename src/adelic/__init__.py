@@ -34,8 +34,6 @@ from .symbols import (
     ExactFactor,
     hilbert_symbol,
     legendre_symbol,
-    verify_hilbert_product,
-    verify_lambda_product,
     weil_index,
 )
 from .gauss import (
@@ -50,8 +48,6 @@ from .gauss import (
     kernel,
     kernel_phase_argument,
     padic_gauss_oracle,
-    verify_gauss_product,
-    verify_kernel_product,
 )
 from .special import (
     PoleError,
@@ -62,7 +58,6 @@ from .special import (
     mellin_vacuum,
     riemann_zeta,
     verify_beta_product,
-    verify_functional_equation,
     verify_gamma_product,
     zeta_adelic,
     zeta_local,
@@ -82,6 +77,11 @@ from .verifier import (
     SuiteReport,
     VerificationReport,
     default_registry,
+    verify_functional_equation,
+    verify_gauss_product,
+    verify_hilbert_product,
+    verify_kernel_product,
+    verify_lambda_product,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

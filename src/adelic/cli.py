@@ -8,6 +8,7 @@ a verification failure, 2 for usage or domain errors.  Every subcommand takes
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -22,9 +23,7 @@ from .local import (
 )
 from .rational import DomainError, digit_expansion, parse_rational
 from .symbols import hilbert_symbol, legendre_symbol, weil_index
-from .verifier import default_registry, parse_complex
-
-_REGISTRY = default_registry()
+from .verifier import REGISTRY, parse_complex
 
 
 def _emit(ns: argparse.Namespace, payload: dict, text: str) -> None:
@@ -308,9 +307,9 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    fam = _REGISTRY.family(ns.family)
+    fam = REGISTRY.family(ns.family)
     args = fam.parse(ns.args)
-    report = _REGISTRY.verify(ns.family, args, tol=ns.tol)
+    report = REGISTRY.verify(ns.family, args, tol=ns.tol)
     if ns.places and fam.exact:
         # show factors at extra requested places; off-support they are 1
         shown = {place for place, _ in report.factors}
@@ -319,14 +318,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             place = parse_place(token)
             if str(place) not in shown:
                 extra.append((str(place), str(fam.factor(place, args))))
-        report = type(report)(
-            family=report.family,
-            args=report.args,
-            factors=report.factors + tuple(extra),
-            verdict=report.verdict,
-            residual=report.residual,
-            diagnostic=report.diagnostic,
-        )
+        report = dataclasses.replace(report, factors=report.factors + tuple(extra))
     if ns.json:
         print(report.to_json())
     else:
@@ -342,7 +334,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_suite(ns: argparse.Namespace) -> int:
-    report = _REGISTRY.random_suite(
+    report = REGISTRY.random_suite(
         ns.family, trials=ns.trials, height_bound=ns.height, seed=ns.seed, tol=ns.tol
     )
     if ns.json:

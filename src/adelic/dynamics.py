@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .local import INFINITY_PLACE, Place, local_abs
-from .rational import DomainError, RationalLike, _valuation, support
+from .rational import DomainError, RationalLike, _valuation, random_rational, support
 from .symbols import _sqrt_exact
 
 ATTRACTIVE = "attractive"
@@ -218,15 +218,9 @@ def orbit_probe(
 
 def random_map(rng: random.Random, height: int) -> MoebiusMap:
     """Random determinant-one map: sample a, b, c and solve for d."""
-    def pick(nonzero: bool = False) -> Fraction:
-        num = rng.randint(-height, height)
-        while nonzero and num == 0:
-            num = rng.randint(-height, height)
-        return Fraction(num, rng.randint(1, height))
-
-    a = pick(nonzero=True)
-    b = pick()
-    c = pick()
+    a = random_rational(rng, height, nonzero=True)
+    b = random_rational(rng, height)
+    c = random_rational(rng, height)
     d = (1 + b * c) / a
     return MoebiusMap(a, b, c, d)
 
@@ -240,23 +234,18 @@ def random_map_with_rational_fixed_points(
     a random invertible rational matrix; multipliers come out as exact squares
     lam**2 and lam**(-2), so the fixed points stay rational.
     """
-    def pick(nonzero: bool = False) -> Fraction:
-        num = rng.randint(-height, height)
-        while nonzero and num == 0:
-            num = rng.randint(-height, height)
-        return Fraction(num, rng.randint(1, height))
-
     while True:
-        g_a, g_b, g_c, g_d = pick(), pick(), pick(), pick()
+        g_a, g_b, g_c, g_d = (random_rational(rng, height) for _ in range(4))
         det = g_a * g_d - g_b * g_c
         if det != 0:
             break
     if rng.random() < parabolic_share:
-        m_a, m_b, m_c, m_d = Fraction(1), pick(nonzero=True), Fraction(0), Fraction(1)
+        m_b = random_rational(rng, height, nonzero=True)
+        m_a, m_c, m_d = Fraction(1), Fraction(0), Fraction(1)
     else:
-        lam = pick(nonzero=True)
+        lam = random_rational(rng, height, nonzero=True)
         while abs(lam) == 1:
-            lam = pick(nonzero=True)
+            lam = random_rational(rng, height, nonzero=True)
         m_a, m_b, m_c, m_d = lam, Fraction(0), Fraction(0), 1 / lam
     # G M G^-1, with the 1/det of the inverse cancelling in the Moebius action
     a = g_a * m_a + g_b * m_c

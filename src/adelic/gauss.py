@@ -35,7 +35,10 @@ _MAX_ORACLE_MODULUS = 1 << 26
 
 @dataclass(frozen=True)
 class GaussFactor:
-    """Exact local value weil_index(a) * mag_base**(-1/2) * phase, mag_base = |2a|."""
+    """Exact local value root * mag_base**(-1/2) * phase.
+
+    mag_base is |2a| for a Gauss integral and |4T| for a propagator kernel.
+    """
 
     root: EighthRoot
     mag_base: Fraction
@@ -51,22 +54,7 @@ class GaussFactor:
         return f"{self.root} * ({self.mag_base})^(-1/2) * {self.phase}"
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    """Exact local propagator value; same three-part shape with mag_base = |4T|."""
-
-    root: EighthRoot
-    mag_base: Fraction
-    phase: RootOfUnity
-
-    def exact(self) -> ExactFactor:
-        return ExactFactor(self.root, 1 / self.mag_base, self.phase)
-
-    def to_complex(self) -> complex:
-        return self.exact().to_complex()
-
-    def __str__(self) -> str:
-        return f"{self.root} * ({self.mag_base})^(-1/2) * {self.phase}"
+KernelValue = GaussFactor
 
 
 def gauss_factor(a: RationalLike, b: RationalLike, place: Place) -> GaussFactor:
@@ -80,50 +68,6 @@ def gauss_factor(a: RationalLike, b: RationalLike, place: Place) -> GaussFactor:
         mag_base=local_abs(2 * a, place),
         phase=additive_character(-b * b / (4 * a), place),
     )
-
-
-@dataclass(frozen=True)
-class ProductCheck:
-    """Exact product verification: combined factor plus per-place table."""
-
-    ok: bool
-    factors: tuple[tuple[Place, object], ...]
-    combined: ExactFactor
-
-    def factor_at(self, place: Place) -> object:
-        for v, value in self.factors:
-            if v == place:
-                return value
-        raise KeyError(str(place))
-
-    @property
-    def detail(self) -> str:
-        c = self.combined
-        return f"root exponent {c.root.k} mod 8, |.|^2 {c.mag2}, phase {c.phase.phase}"
-
-
-def _check_product(places: tuple[Place, ...], factor_of: Callable[[Place], object]) -> ProductCheck:
-    table = []
-    combined = ExactFactor.identity()
-    for place in places:
-        f = factor_of(place)
-        combined = combined * f.exact()
-        table.append((place, f))
-    return ProductCheck(combined.is_identity, tuple(table), combined)
-
-
-def verify_gauss_product(a: RationalLike, b: RationalLike) -> ProductCheck:
-    """Product of local Gauss integrals over all places; must combine to exactly 1.
-
-    Places outside the archimedean one, 2, and the supports of a and b
-    contribute the identity, so the product is finite.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0:
-        raise DomainError("quadratic coefficient must be nonzero")
-    places = places_for(a, b, always=(2,))
-    return _check_product(places, lambda v: gauss_factor(a, b, v))
 
 
 def padic_gauss_oracle(a: RationalLike, b: RationalLike, p: int, n_ball: int) -> complex:
@@ -196,7 +140,7 @@ def kernel(
     accel: RationalLike,
     duration: RationalLike,
     place: Place,
-) -> KernelValue:
+) -> GaussFactor:
     """Local evolution kernel for the constant-acceleration quadratic model.
 
     Exact three-part value: weil_index(-8T) * |4T|**(-1/2) * character of the
@@ -205,7 +149,7 @@ def kernel(
     T = Fraction(duration)
     if T == 0:
         raise DomainError("propagation time must be nonzero")
-    return KernelValue(
+    return GaussFactor(
         root=weil_index(-8 * T, place),
         mag_base=local_abs(4 * T, place),
         phase=additive_character(kernel_phase_argument(x_out, x_in, accel, T), place),
@@ -232,14 +176,6 @@ def kernel_places(
     candidates = denominator_places(x_out, x_in, accel) | {3}
     extra = tuple(p for p in candidates if den % p == 0)
     return places_for(T, always=(2,) + extra)
-
-
-def verify_kernel_product(
-    x_out: RationalLike, x_in: RationalLike, accel: RationalLike, duration: RationalLike
-) -> ProductCheck:
-    """Product of local kernels over all places; must combine to exactly 1."""
-    places = kernel_places(x_out, x_in, accel, duration)
-    return _check_product(places, lambda v: kernel(x_out, x_in, accel, duration, v))
 
 
 def free_gauss_parameters(

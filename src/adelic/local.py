@@ -48,10 +48,6 @@ class Place:
     def is_infinite(self) -> bool:
         return self.prime is None
 
-    def sort_key(self) -> tuple[int, int]:
-        # archimedean place first, then primes in order
-        return (0, 0) if self.prime is None else (1, self.prime)
-
     def __str__(self) -> str:
         return "inf" if self.prime is None else str(self.prime)
 
@@ -120,9 +116,6 @@ class RootOfUnity:
 
     def inverse(self) -> "RootOfUnity":
         return RootOfUnity(-self.phase)
-
-    def __pow__(self, n: int) -> "RootOfUnity":
-        return RootOfUnity(self.phase * n)
 
     def to_complex(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.phase))

@@ -7,6 +7,7 @@ positive, arbitrary precision.  Every operation here is pure and exact.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -219,6 +220,14 @@ def support(x: RationalLike) -> tuple[int, ...]:
         raise DomainError("support undefined for 0")
     primes = set(factorize(x.numerator)) | set(factorize(x.denominator))
     return tuple(sorted(primes))
+
+
+def random_rational(rng: random.Random, height: int, nonzero: bool = False) -> Fraction:
+    """Seeded num/den with |num| <= height, 1 <= den <= height; nonzero redraws a zero num."""
+    num = rng.randint(-height, height)
+    while nonzero and num == 0:
+        num = rng.randint(-height, height)
+    return Fraction(num, rng.randint(1, height))
 
 
 def parse_rational(token: str) -> Fraction:

@@ -47,18 +47,25 @@ _LANCZOS_COEF = (
 
 
 def complex_gamma(z: complex) -> complex:
-    """Classical gamma function on C, Lanczos approximation with reflection."""
+    """Classical gamma function on C, Lanczos approximation with reflection.
+
+    Where sin(pi z) or the Lanczos power overflows a double (large |Im z| on
+    the left, real z past about 142.4), a DomainError names the double range.
+    """
     z = complex(z)
-    if z.real < 0.5:
-        if abs(z.imag) < _POLE_TOL and abs(z.real - round(z.real)) < _POLE_TOL and round(z.real) <= 0:
-            raise PoleError(f"gamma pole at {round(z.real)}", location=round(z.real))
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1 - z))
-    z -= 1
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    try:
+        if z.real < 0.5:
+            if abs(z.imag) < _POLE_TOL and abs(z.real - round(z.real)) < _POLE_TOL and round(z.real) <= 0:
+                raise PoleError(f"gamma pole at {round(z.real)}", location=round(z.real))
+            return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1 - z))
+        w = z - 1
+        acc = _LANCZOS_COEF[0]
+        for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
+            acc += c / (w + i)
+        t = w + _LANCZOS_G + 0.5
+        return math.sqrt(2 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        raise DomainError(f"complex_gamma at {z} leaves the double range") from None
 
 
 def _largest_term_count() -> int:
@@ -208,11 +215,12 @@ class GammaProductReport:
     raw_partial_bound: int
 
 
-# built once: a Place checks its prime when constructed
-_SMALL_PRIME_PLACES = tuple(Place.finite(p) for p in primes_up_to(47))
+# the primes of the raw partial product, built once: a Place checks its prime when constructed
+_RAW_BOUND = 47
+_SMALL_PRIME_PLACES = tuple(Place.finite(p) for p in primes_up_to(_RAW_BOUND))
 
 
-def verify_gamma_product(u: complex, raw_bound: int = 47) -> GammaProductReport:
+def verify_gamma_product(u: complex) -> GammaProductReport:
     """Check gamma_infinity(u) times the regularized finite-place product is 1."""
     u = complex(u)
     if abs(u) < _POLE_TOL or abs(u - 1) < _POLE_TOL:
@@ -221,19 +229,17 @@ def verify_gamma_product(u: complex, raw_bound: int = 47) -> GammaProductReport:
     z_cu = riemann_zeta(1 - u)
     raw = 1 + 0j
     for place in _SMALL_PRIME_PLACES:
-        if place.prime > raw_bound:
-            break
         raw *= gamma_local(u, place)
     if abs(z_cu) < _POLE_TOL:
         # gamma_infinity vanishes exactly where the regularized product blows
         # up; the combined expression cancels to 1.
-        return GammaProductReport(u, 0.0, 0j, cmath.inf, True, raw, raw_bound)
+        return GammaProductReport(u, 0.0, 0j, cmath.inf, True, raw, _RAW_BOUND)
     if abs(z_u) < _POLE_TOL:
         raise PoleError(f"zeta zero at u = {u} makes the gamma factor at infinity singular", location=u)
     gamma_inf = z_cu / z_u
     regularized = z_u / z_cu
     residual = abs(gamma_inf * regularized - 1)
-    return GammaProductReport(u, residual, gamma_inf, regularized, False, raw * gamma_inf, raw_bound)
+    return GammaProductReport(u, residual, gamma_inf, regularized, False, raw * gamma_inf, _RAW_BOUND)
 
 
 @dataclass(frozen=True)
@@ -293,14 +299,11 @@ def zeta_adelic(a: complex) -> complex:
     return zeta_local(a, Place.infinity()) * value
 
 
-def verify_functional_equation(a: complex) -> float:
-    """Residual |completed_zeta(a) - completed_zeta(1-a)|, relative for large values."""
-    lhs = zeta_adelic(a)
-    rhs = zeta_adelic(1 - a)
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+_QUADRATURE_LIMIT = 200
+_MELLIN_PRIME_BOUND = 100_000
 
 
-def real_vacuum_moment(a: float, limit: int = 200) -> float:
+def real_vacuum_moment(a: float) -> float:
     """Quadrature of the moment integral of exp(-pi x**2) |x|**(a-1) over the line."""
     if a <= 0:
         raise DomainError("moment integral requires a > 0")
@@ -310,7 +313,7 @@ def real_vacuum_moment(a: float, limit: int = 200) -> float:
         lambda x: math.exp(-math.pi * x * x) * x ** (a - 1.0),
         0.0,
         math.inf,
-        limit=limit,
+        limit=_QUADRATURE_LIMIT,
     )
     return 2.0 * val
 
@@ -350,11 +353,11 @@ class MellinComparison:
     residual: float
 
 
-def mellin_vacuum(a: float, quadrature_n: int = 200, prime_bound: int = 100_000) -> MellinComparison:
+def mellin_vacuum(a: float) -> MellinComparison:
     """Vacuum Mellin transform two ways: quadrature-and-Euler-product vs closed form.
 
     numeric multiplies sqrt(2), the real moment quadrature, and the local zeta
-    factors over primes up to prime_bound; the Euler tail beyond the bound is
+    factors over primes up to 100,000; the Euler tail beyond the bound is
     restored through the Moebius expansion of the prime-counting series so the
     truncation error stays below the comparison tolerance even near a = 1.
     closed is sqrt(2) * gamma(a/2) * pi**(-a/2) * zeta(a).
@@ -362,13 +365,13 @@ def mellin_vacuum(a: float, quadrature_n: int = 200, prime_bound: int = 100_000)
     a = float(a)
     if a <= 1:
         raise DomainError("the vacuum Mellin transform requires a > 1")
-    moment = real_vacuum_moment(a, limit=quadrature_n)
-    primes = _primes_up_to(prime_bound)
+    moment = real_vacuum_moment(a)
+    primes = _primes_up_to(_MELLIN_PRIME_BOUND)
     # int ** float rounds as float(p) ** float; reduce subtracts left to right
     log_finite = reduce(sub, map(math.log1p, map(neg, map(pow, primes, repeat(-a)))), 0.0)
-    # tail of log prod (1-p^-a)^-1 over p > prime_bound:
+    # tail of log prod (1-p^-a)^-1 over p > _MELLIN_PRIME_BOUND:
     # sum_k (prime_zeta(k a) - partial_sum(k a)) / k; the k-th term is of
-    # order prime_bound**(1 - k a), negligible past k a ~ 4
+    # order _MELLIN_PRIME_BOUND**(1 - k a), negligible past k a ~ 4
     log_tail = 0.0
     k = 1
     while k * a < 8.0:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .local import Place, RootOfUnity, places_for
+from .local import Place, RootOfUnity
 from .rational import (
     DomainError,
     RationalLike,
@@ -226,51 +226,3 @@ def weil_index(x: RationalLike, place: Place) -> EighthRoot:
     if v % 2 == 0:
         return EighthRoot(1 - 2 * x1)
     return EighthRoot(1 + 2 * x1 + 4 * x2)
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Outcome of an exact product check with its per-place factor table."""
-
-    ok: bool
-    factors: tuple[tuple[Place, object], ...]
-    detail: str = ""
-
-    def factor_at(self, place: Place) -> object:
-        for v, value in self.factors:
-            if v == place:
-                return value
-        raise KeyError(str(place))
-
-
-def verify_lambda_product(x: RationalLike) -> IdentityCheck:
-    """Check that the Weil indices of x over all places multiply to exactly 1.
-
-    Only the archimedean place, 2, and primes dividing x can contribute; the
-    check is that the eighth-root exponents sum to 0 mod 8.
-    """
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError("product requires a nonzero rational")
-    table = []
-    total = 0
-    for place in places_for(x, always=(2,)):
-        w = weil_index(x, place)
-        total += w.k
-        table.append((place, w))
-    return IdentityCheck(total % 8 == 0, tuple(table), detail=f"exponent sum {total} mod 8")
-
-
-def verify_hilbert_product(x: RationalLike, y: RationalLike) -> IdentityCheck:
-    """Check that the Hilbert symbols of (x, y) over all places multiply to +1."""
-    x = Fraction(x)
-    y = Fraction(y)
-    if x == 0 or y == 0:
-        raise DomainError("product requires nonzero rationals")
-    table = []
-    prod = 1
-    for place in places_for(x, y, always=(2,)):
-        s = hilbert_symbol(x, y, place)
-        prod *= s
-        table.append((place, s))
-    return IdentityCheck(prod == 1, tuple(table), detail=f"product {prod}")

@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import gauss, special
 from .local import Place, additive_character, local_abs, places_for
-from .rational import DomainError, parse_rational, primes_up_to
+from .rational import DomainError, RationalLike, parse_rational, primes_up_to, random_rational
 from .symbols import ExactFactor, hilbert_symbol, weil_index
 
 EXACT_PASS = "ExactPass"
@@ -269,13 +269,6 @@ class Registry:
         )
 
 
-def _random_rational(rng: random.Random, height: int, nonzero: bool = False) -> Fraction:
-    num = rng.randint(-height, height)
-    while nonzero and num == 0:
-        num = rng.randint(-height, height)
-    return Fraction(num, rng.randint(1, height))
-
-
 def _parse_n(tokens: list[str], n: int, usage: str) -> list[str]:
     if len(tokens) != n:
         raise DomainError(f"expected {n} argument(s): {usage}")
@@ -288,14 +281,17 @@ def _nonzero(x: Fraction, what: str) -> Fraction:
     return x
 
 
+def _near_pole(z: complex) -> bool:
+    # within 0.15 of a nonpositive integer or of 1, 3 or 5 on the real line
+    near_real_int = abs(z.imag) < 0.15 and abs(z.real - round(z.real)) < 0.15
+    return near_real_int and (round(z.real) <= 0 or round(z.real) in (1, 3, 5))
+
+
 def _sample_complex_off_poles(rng: random.Random, height: int) -> complex:
     del height  # complex parameters are not height-bounded
     while True:
         z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 3.0))
-        if abs(z) > 5.0:
-            continue
-        near_real_int = abs(z.imag) < 0.15 and abs(z.real - round(z.real)) < 0.15
-        if near_real_int and (round(z.real) <= 0 or round(z.real) in (1, 3, 5)):
+        if abs(z) > 5.0 or _near_pole(z):
             continue
         if abs(z) < 0.15 or abs(z - 1) < 0.15:
             continue
@@ -313,7 +309,7 @@ def default_registry() -> Registry:
             exact=True,
             parse=lambda t: (_nonzero(parse_rational(_parse_n(t, 1, "x")[0]), "x"),),
             render=lambda a: (str(a[0]),),
-            sample=lambda rng, h: (_random_rational(rng, h, nonzero=True),),
+            sample=lambda rng, h: (random_rational(rng, h, nonzero=True),),
             factor=lambda v, a: ExactFactor.from_magnitude(local_abs(a[0], v)),
             relevant_places=lambda a: places_for(a[0]),
         )
@@ -326,7 +322,7 @@ def default_registry() -> Registry:
             exact=True,
             parse=lambda t: (parse_rational(_parse_n(t, 1, "x")[0]),),
             render=lambda a: (str(a[0]),),
-            sample=lambda rng, h: (_random_rational(rng, h),),
+            sample=lambda rng, h: (random_rational(rng, h),),
             factor=lambda v, a: ExactFactor.from_phase(additive_character(a[0], v)),
             relevant_places=lambda a: places_for(a[0]),
         )
@@ -339,7 +335,7 @@ def default_registry() -> Registry:
             exact=True,
             parse=lambda t: (_nonzero(parse_rational(_parse_n(t, 1, "x")[0]), "x"),),
             render=lambda a: (str(a[0]),),
-            sample=lambda rng, h: (_random_rational(rng, h, nonzero=True),),
+            sample=lambda rng, h: (random_rational(rng, h, nonzero=True),),
             factor=lambda v, a: ExactFactor.from_root(weil_index(a[0], v)),
             relevant_places=lambda a: places_for(a[0], always=(2,)),
         )
@@ -356,8 +352,8 @@ def default_registry() -> Registry:
             ),
             render=lambda a: (str(a[0]), str(a[1])),
             sample=lambda rng, h: (
-                _random_rational(rng, h, nonzero=True),
-                _random_rational(rng, h, nonzero=True),
+                random_rational(rng, h, nonzero=True),
+                random_rational(rng, h, nonzero=True),
             ),
             factor=lambda v, a: ExactFactor.from_sign(hilbert_symbol(a[0], a[1], v)),
             relevant_places=lambda a: places_for(a[0], a[1], always=(2,)),
@@ -375,8 +371,8 @@ def default_registry() -> Registry:
             ),
             render=lambda a: (str(a[0]), str(a[1])),
             sample=lambda rng, h: (
-                _random_rational(rng, h, nonzero=True),
-                _random_rational(rng, h),
+                random_rational(rng, h, nonzero=True),
+                random_rational(rng, h),
             ),
             factor=lambda v, a: gauss.gauss_factor(a[0], a[1], v).exact(),
             relevant_places=lambda a: places_for(a[0], a[1], always=(2,)),
@@ -396,10 +392,10 @@ def default_registry() -> Registry:
             ),
             render=lambda a: tuple(str(x) for x in a),
             sample=lambda rng, h: (
-                _random_rational(rng, h),
-                _random_rational(rng, h),
-                _random_rational(rng, h),
-                _random_rational(rng, h, nonzero=True),
+                random_rational(rng, h),
+                random_rational(rng, h),
+                random_rational(rng, h),
+                random_rational(rng, h, nonzero=True),
             ),
             factor=lambda v, a: gauss.kernel(a[0], a[1], a[2], a[3], v).exact(),
             relevant_places=lambda a: gauss.kernel_places(*a),
@@ -480,8 +476,35 @@ def _sample_beta_args(rng: random.Random, height: int) -> tuple:
     while True:
         a = _sample_complex_off_poles(rng, height)
         b = _sample_complex_off_poles(rng, height)
-        c = 1 - a - b
-        near_real_int = abs(c.imag) < 0.15 and abs(c.real - round(c.real)) < 0.15
-        if near_real_int and (round(c.real) <= 0 or round(c.real) in (1, 3, 5)):
-            continue
-        return (a, b)
+        if not _near_pole(1 - a - b):
+            return (a, b)
+
+
+REGISTRY = default_registry()
+
+
+def verify_lambda_product(x: RationalLike) -> VerificationReport:
+    """Verify that the Weil indices of a nonzero x over all places multiply to exactly 1."""
+    return REGISTRY.verify("lambda-product", (Fraction(x),))
+
+
+def verify_hilbert_product(x: RationalLike, y: RationalLike) -> VerificationReport:
+    """Verify that the Hilbert symbols of nonzero x, y over all places multiply to exactly 1."""
+    return REGISTRY.verify("hilbert-product", (Fraction(x), Fraction(y)))
+
+
+def verify_gauss_product(a: RationalLike, b: RationalLike) -> VerificationReport:
+    """Verify that the local Gauss integrals of a*x**2 + b*x (a nonzero) multiply to exactly 1."""
+    return REGISTRY.verify("gauss-product", (Fraction(a), Fraction(b)))
+
+
+def verify_kernel_product(
+    x_out: RationalLike, x_in: RationalLike, accel: RationalLike, duration: RationalLike
+) -> VerificationReport:
+    """Verify that the local propagator kernels (duration nonzero) multiply to exactly 1."""
+    return REGISTRY.verify("kernel-product", tuple(map(Fraction, (x_out, x_in, accel, duration))))
+
+
+def verify_functional_equation(a: complex) -> float:
+    """Residual |completed_zeta(a) - completed_zeta(1-a)|, relative for large values."""
+    return REGISTRY.verify("functional-equation", (complex(a),)).residual

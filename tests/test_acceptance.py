@@ -31,8 +31,6 @@ from adelic.gauss import (
     kernel_phase_argument,
     kernel_places,
     padic_gauss_oracle,
-    verify_gauss_product,
-    verify_kernel_product,
 )
 from adelic.local import (
     INFINITY_PLACE,
@@ -41,6 +39,7 @@ from adelic.local import (
     frac_part,
     integer_indicator,
     local_abs,
+    parse_place,
 )
 from adelic.rational import DomainError, support, valuation
 from adelic.special import (
@@ -48,17 +47,22 @@ from adelic.special import (
     mellin_vacuum,
     riemann_zeta,
     verify_beta_product,
-    verify_functional_equation,
     verify_gamma_product,
 )
 from adelic.symbols import (
     EighthRoot,
     ExactFactor,
     legendre_symbol,
+    weil_index,
+)
+from adelic.verifier import (
+    default_registry,
+    verify_functional_equation,
+    verify_gauss_product,
     verify_hilbert_product,
+    verify_kernel_product,
     verify_lambda_product,
 )
-from adelic.verifier import default_registry
 
 from oracles import hilbert_solvable, legendre_table
 from test_dynamics import confirm_label_by_orbit
@@ -122,9 +126,12 @@ def test_lambda_product_bulk():
     with criterion("lambda product: 1000 trials, exponent sum 0 mod 8", budget=5.0):
         rng = random.Random(44)
         for _ in range(1000):
-            check = verify_lambda_product(_rand_rational(rng, 10**6, nonzero=True))
-            assert check.ok
-            assert sum(w.k for _, w in check.factors) % 8 == 0
+            x = _rand_rational(rng, 10**6, nonzero=True)
+            report = verify_lambda_product(x)
+            assert report.verdict == "ExactPass"
+            roots = [weil_index(x, parse_place(place)) for place, _ in report.factors]
+            assert [value for _, value in report.factors] == [str(w) for w in roots]
+            assert sum(w.k for w in roots) % 8 == 0
 
 
 def test_hilbert_product_and_solvability_oracle():
@@ -133,7 +140,7 @@ def test_hilbert_product_and_solvability_oracle():
         for _ in range(1000):
             x = _rand_rational(rng, 10**6, nonzero=True)
             y = _rand_rational(rng, 10**6, nonzero=True)
-            assert verify_hilbert_product(x, y).ok
+            assert verify_hilbert_product(x, y).verdict == "ExactPass"
         from adelic.symbols import hilbert_symbol
 
         for _ in range(200):
@@ -159,7 +166,7 @@ def test_gauss_product_and_oracle():
         for _ in range(500):
             a = _rand_rational(rng, 10**4, nonzero=True)
             b = _rand_rational(rng, 10**4)
-            assert verify_gauss_product(a, b).ok
+            assert verify_gauss_product(a, b).verdict == "ExactPass"
         cases = 0
         while cases < 50:
             p = (2, 3, 5, 7)[cases % 4]
@@ -185,7 +192,7 @@ def test_kernel_product_and_free_reduction():
                 _rand_rational(rng, 50),
                 _rand_rational(rng, 50, nonzero=True),
             )
-            assert verify_kernel_product(*args).ok
+            assert verify_kernel_product(*args).verdict == "ExactPass"
         for _ in range(100):
             x2 = _rand_rational(rng, 30)
             x1 = _rand_rational(rng, 30)

@@ -222,3 +222,11 @@ class TestUsageErrors:
         code = main([])
         capsys.readouterr()
         assert code == 2
+
+
+class TestDoubleRange:
+    @pytest.mark.parametrize("argv", [("zeta", "0.5+1000i", "inf"), ("zeta", "400"), ("gamma", "400", "inf")])
+    def test_gamma_overflow_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "double range" in err

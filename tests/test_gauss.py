@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from adelic.gauss import (
+    GaussFactor,
+    KernelValue,
     free_gauss_parameters,
     fourier_self_dual_check,
     gauss_factor,
@@ -15,12 +17,11 @@ from adelic.gauss import (
     kernel_phase_argument,
     kernel_places,
     padic_gauss_oracle,
-    verify_gauss_product,
-    verify_kernel_product,
 )
-from adelic.local import INFINITY_PLACE, Place, additive_character, local_abs
+from adelic.local import INFINITY_PLACE, Place, additive_character, local_abs, parse_place
 from adelic.rational import DomainError, factorize, valuation
 from adelic.symbols import EighthRoot, ExactFactor
+from adelic.verifier import verify_gauss_product, verify_kernel_product
 
 P2, P3, P5, P7 = (Place.finite(p) for p in (2, 3, 5, 7))
 
@@ -65,23 +66,31 @@ class TestGaussFactor:
             gauss_factor(0, 1, P2)
 
 
+def _complex_product(report, factor_at) -> complex:
+    """Product of factor_at(place) over the report's places; each row must match it."""
+    product = 1 + 0j
+    for place, value in report.factors:
+        f = factor_at(parse_place(place))
+        assert value == str(f.exact())
+        product *= f.to_complex()
+    return product
+
+
 class TestGaussProduct:
     def test_simplest(self):
-        check = verify_gauss_product(1, 0)
-        assert check.ok
-        inf_f = check.factor_at(INFINITY_PLACE)
-        two_f = check.factor_at(P2)
-        assert abs(inf_f.to_complex() * two_f.to_complex() - 1) < 1e-12
+        report = verify_gauss_product(1, 0)
+        assert report.verdict == "ExactPass"
+        assert [place for place, _ in report.factors] == ["inf", "2"]
+        product = _complex_product(report, lambda v: gauss_factor(1, 0, v))
+        assert abs(product - 1) < 1e-12
 
     def test_linear_term(self):
-        assert verify_gauss_product(1, 1).ok
+        assert verify_gauss_product(1, 1).verdict == "ExactPass"
 
     def test_fractional(self):
-        check = verify_gauss_product(Fraction(3, 4), Fraction(2, 5))
-        assert check.ok
-        product = 1 + 0j
-        for _, f in check.factors:
-            product *= f.to_complex()
+        report = verify_gauss_product(Fraction(3, 4), Fraction(2, 5))
+        assert report.verdict == "ExactPass"
+        product = _complex_product(report, lambda v: gauss_factor(Fraction(3, 4), Fraction(2, 5), v))
         assert abs(product - 1) < 1e-12
 
     def test_bulk_random(self):
@@ -89,7 +98,7 @@ class TestGaussProduct:
         for _ in range(500):
             a = _rand_rational(rng, 10**4, nonzero=True)
             b = _rand_rational(rng, 10**4)
-            assert verify_gauss_product(a, b).ok
+            assert verify_gauss_product(a, b).verdict == "ExactPass"
 
 
 class TestGaussOracle:
@@ -150,14 +159,17 @@ class TestKernel:
             kernel(1, 0, 0, 0, P2)
 
     def test_product_examples(self):
-        assert verify_kernel_product(0, 0, 0, 1).ok
-        assert verify_kernel_product(1, 0, 0, 1).ok
-        check = verify_kernel_product(Fraction(1, 2), Fraction(1, 3), 2, Fraction(3, 5))
-        assert check.ok
-        product = 1 + 0j
-        for _, f in check.factors:
-            product *= f.to_complex()
+        assert verify_kernel_product(0, 0, 0, 1).verdict == "ExactPass"
+        assert verify_kernel_product(1, 0, 0, 1).verdict == "ExactPass"
+        args = (Fraction(1, 2), Fraction(1, 3), 2, Fraction(3, 5))
+        report = verify_kernel_product(*args)
+        assert report.verdict == "ExactPass"
+        product = _complex_product(report, lambda v: kernel(*args, v))
         assert abs(product - 1) < 1e-12
+
+    def test_kernel_value_is_gauss_factor(self):
+        assert KernelValue is GaussFactor
+        assert type(kernel(1, 0, 0, 1, P2)) is GaussFactor
 
     def test_bulk_random(self):
         rng = random.Random(11)
@@ -166,7 +178,7 @@ class TestKernel:
             x1 = _rand_rational(rng, 50)
             lam = _rand_rational(rng, 50)
             T = _rand_rational(rng, 50, nonzero=True)
-            assert verify_kernel_product(x2, x1, lam, T).ok
+            assert verify_kernel_product(x2, x1, lam, T).verdict == "ExactPass"
 
     def test_places_match_factoring_the_phase_denominator(self):
         # kernel_places avoids factoring the phase denominator; the place set

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from adelic.rational import (
     factorize,
     is_prime,
     parse_rational,
+    random_rational,
     support,
     unit_part,
     valuation,
@@ -208,6 +210,27 @@ class TestSupport:
         for p in PRIMES:
             if p not in primes:
                 assert valuation(x, p) == 0
+
+
+class TestRandomRational:
+    @staticmethod
+    def _reference(rng, height, nonzero):
+        # the sampler the seeded suites and the dynamics maps were drawn with
+        num = rng.randint(-height, height)
+        while nonzero and num == 0:
+            num = rng.randint(-height, height)
+        return Fraction(num, rng.randint(1, height))
+
+    @pytest.mark.parametrize("height", [1, 2, 10**6])
+    @pytest.mark.parametrize("nonzero", [False, True])
+    def test_same_draws_as_the_reference(self, height, nonzero):
+        ours, reference = random.Random(5), random.Random(5)
+        for _ in range(200):
+            x = random_rational(ours, height, nonzero=nonzero)
+            assert x == self._reference(reference, height, nonzero)
+            assert abs(x.numerator) <= height and x.denominator <= height
+            assert x != 0 or not nonzero
+        assert ours.getstate() == reference.getstate()
 
 
 class TestParseRational:

@@ -19,11 +19,11 @@ from adelic.special import (
     real_vacuum_moment,
     riemann_zeta,
     verify_beta_product,
-    verify_functional_equation,
     verify_gamma_product,
     zeta_adelic,
     zeta_local,
 )
+from adelic.verifier import verify_functional_equation
 
 from oracles import borwein_coefficients, zeta_exact_weights, zeta_shell_sum
 
@@ -53,6 +53,13 @@ class TestComplexGamma:
     def test_pole(self):
         with pytest.raises(PoleError):
             complex_gamma(-3)
+
+    @pytest.mark.parametrize("z", [200, 171.7, 0.25 + 500j, 0.25 - 500j])
+    def test_overflow_is_a_domain_error(self, z):
+        # the Lanczos power (large Re z) or sin(pi z) (large |Im z|) overflows
+        with pytest.raises(DomainError, match="double range") as info:
+            complex_gamma(z)
+        assert not isinstance(info.value, PoleError)
 
 
 class TestZetaEvaluator:

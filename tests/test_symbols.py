@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adelic.local import INFINITY_PLACE, Place
+from adelic.local import INFINITY_PLACE, Place, parse_place
 from adelic.rational import DomainError
 from adelic.symbols import (
     EighthRoot,
     ExactFactor,
     hilbert_symbol,
     legendre_symbol,
-    verify_hilbert_product,
-    verify_lambda_product,
     weil_index,
 )
+from adelic.verifier import verify_hilbert_product, verify_lambda_product
 
 from oracles import hilbert_solvable, legendre_table
 
@@ -152,48 +151,56 @@ class TestWeilIndex:
 
 class TestLambdaProduct:
     def test_unit_example(self):
-        check = verify_lambda_product(1)
-        assert check.ok
-        assert check.factor_at(INFINITY_PLACE).k == 7
-        assert check.factor_at(P2).k == 1
+        report = verify_lambda_product(1)
+        assert report.verdict == "ExactPass"
+        assert report.factors == (("inf", str(EighthRoot(7))), ("2", str(EighthRoot(1))))
+        assert weil_index(1, INFINITY_PLACE).k == 7
+        assert weil_index(1, P2).k == 1
 
     def test_minus_one(self):
-        check = verify_lambda_product(-1)
-        assert check.ok
+        report = verify_lambda_product(-1)
+        assert report.verdict == "ExactPass"
         product = 1 + 0j
-        for _, w in check.factors:
+        for place, value in report.factors:
+            w = weil_index(-1, parse_place(place))
+            assert value == str(ExactFactor.from_root(w))
             product *= w.to_complex()
         assert abs(product - 1) < 1e-12
 
     def test_four(self):
-        check = verify_lambda_product(4)
-        assert check.ok
-        assert check.factor_at(P2).k == 1
-        assert check.factor_at(INFINITY_PLACE).k == 7
+        report = verify_lambda_product(4)
+        assert report.verdict == "ExactPass"
+        assert report.factors == (("inf", str(EighthRoot(7))), ("2", str(EighthRoot(1))))
+        assert weil_index(4, P2).k == 1
+        assert weil_index(4, INFINITY_PLACE).k == 7
 
     def test_bulk_random(self):
         rng = random.Random(42)
         for _ in range(1000):
-            assert verify_lambda_product(_rand_nonzero(rng, 10**6)).ok
+            assert verify_lambda_product(_rand_nonzero(rng, 10**6)).verdict == "ExactPass"
 
 
 class TestHilbertProduct:
     def test_minus_one_pair(self):
-        check = verify_hilbert_product(-1, -1)
-        assert check.ok
-        assert check.factor_at(INFINITY_PLACE) == -1
-        assert check.factor_at(P2) == -1
+        report = verify_hilbert_product(-1, -1)
+        assert report.verdict == "ExactPass"
+        minus_one = str(ExactFactor.from_sign(-1))
+        assert report.factors == (("inf", minus_one), ("2", minus_one))
+        assert hilbert_symbol(-1, -1, INFINITY_PLACE) == -1
+        assert hilbert_symbol(-1, -1, P2) == -1
 
     def test_one_with_anything(self):
         for y in (Fraction(3, 7), Fraction(-22, 5), Fraction(1)):
-            check = verify_hilbert_product(1, y)
-            assert check.ok
-            assert all(s == 1 for _, s in check.factors)
+            report = verify_hilbert_product(1, y)
+            assert report.verdict == "ExactPass"
+            assert all(value == "1" for _, value in report.factors)
+            assert all(hilbert_symbol(1, y, parse_place(place)) == 1 for place, _ in report.factors)
 
     def test_two_five(self):
-        assert verify_hilbert_product(2, 5).ok
+        assert verify_hilbert_product(2, 5).verdict == "ExactPass"
 
     def test_bulk_random(self):
         rng = random.Random(43)
         for _ in range(1000):
-            assert verify_hilbert_product(_rand_nonzero(rng, 10**6), _rand_nonzero(rng, 10**6)).ok
+            x, y = _rand_nonzero(rng, 10**6), _rand_nonzero(rng, 10**6)
+            assert verify_hilbert_product(x, y).verdict == "ExactPass"

@@ -4,20 +4,26 @@ from fractions import Fraction
 
 import pytest
 
-from adelic import local
+from adelic import local, verifier
 from adelic.local import places_for
 from adelic.rational import DomainError, parse_rational, require_prime
 from adelic.special import verify_gamma_product
-from adelic.symbols import ExactFactor
+from adelic.symbols import EighthRoot, ExactFactor, weil_index
 from adelic.verifier import (
     EXACT_PASS,
     FAIL,
     NUMERIC_PASS,
+    REGISTRY,
     ProductFamily,
     Registry,
     VerificationReport,
     default_registry,
     parse_complex,
+    verify_functional_equation,
+    verify_gauss_product,
+    verify_hilbert_product,
+    verify_kernel_product,
+    verify_lambda_product,
 )
 
 
@@ -162,3 +168,56 @@ class TestReports:
     def test_numeric_suite(self, registry):
         report = registry.random_suite("functional-equation", 10, 10, seed=4)
         assert dict(report.verdicts) == {"NumericPass": 10}
+
+
+class TestProductHelpers:
+    def test_default_registry_is_fresh(self):
+        assert default_registry() is not default_registry()
+        assert default_registry() is not REGISTRY
+
+    @pytest.mark.parametrize(
+        "helper,name,args",
+        [
+            (verify_lambda_product, "lambda-product", (Fraction(-18, 35),)),
+            (verify_hilbert_product, "hilbert-product", (Fraction(6), Fraction(-10, 7))),
+            (verify_gauss_product, "gauss-product", (Fraction(3, 4), Fraction(2, 5))),
+            (verify_kernel_product, "kernel-product", tuple(map(Fraction, (1, 0, 3, 5)))),
+        ],
+    )
+    def test_helper_is_the_registry_verdict(self, registry, helper, name, args):
+        report = helper(*args)
+        assert report == registry.verify(name, args)
+        assert report.verdict == EXACT_PASS
+
+    def test_functional_equation_is_the_registry_residual(self, registry):
+        a = 0.25 + 1.5j
+        assert verify_functional_equation(a) == registry.verify("functional-equation", (a,)).residual
+
+    @pytest.mark.parametrize(
+        "helper,args",
+        [
+            (verify_lambda_product, (0,)),
+            (verify_hilbert_product, (0, 3)),
+            (verify_hilbert_product, (3, 0)),
+            (verify_gauss_product, (0, 1)),
+            (verify_kernel_product, (1, 2, 3, 0)),
+            (verify_functional_equation, (0,)),
+            (verify_functional_equation, (1,)),
+        ],
+    )
+    def test_zero_or_pole_argument_rejected(self, helper, args):
+        with pytest.raises(DomainError):
+            helper(*args)
+
+    def test_helper_spot_checks_an_excluded_place(self, monkeypatch):
+        # a Weil index that is -1 at every prime above 47 leaves the declared
+        # places of 3 untouched; only the spot check can see it
+        def corrupted(x, place):
+            if not place.is_infinite and place.prime > 47:
+                return EighthRoot(4)
+            return weil_index(x, place)
+
+        monkeypatch.setattr(verifier, "weil_index", corrupted)
+        report = verify_lambda_product(3)
+        assert report.verdict == FAIL
+        assert report.diagnostic.startswith("unsound place set")
