@@ -17,6 +17,7 @@ from itertools import repeat
 from operator import add, mul, neg, sub
 
 from .local import Place
+from .quadrature import quad_semi_infinite
 from .rational import DomainError, primes_up_to
 
 _POLE_TOL = 1e-8
@@ -304,17 +305,19 @@ _MELLIN_PRIME_BOUND = 100_000
 
 
 def real_vacuum_moment(a: float) -> float:
-    """Quadrature of the moment integral of exp(-pi x**2) |x|**(a-1) over the line."""
+    """Quadrature of the moment integral of exp(-pi x**2) |x|**(a-1) over the line.
+
+    Where the power x**(a-1) overflows a double at a quadrature node (from
+    about a = 95.2 on), a DomainError names the double range.
+    """
     if a <= 0:
         raise DomainError("moment integral requires a > 0")
-    from scipy.integrate import quad  # deferred so that importing adelic does not load scipy
-
-    val, _ = quad(
-        lambda x: math.exp(-math.pi * x * x) * x ** (a - 1.0),
-        0.0,
-        math.inf,
-        limit=_QUADRATURE_LIMIT,
-    )
+    try:
+        val = quad_semi_infinite(
+            lambda x: math.exp(-math.pi * x * x) * x ** (a - 1.0), _QUADRATURE_LIMIT
+        ).value
+    except OverflowError:
+        raise DomainError(f"the moment integrand at a = {a} leaves the double range") from None
     return 2.0 * val
 
 
@@ -368,14 +371,16 @@ def mellin_vacuum(a: float) -> MellinComparison:
     moment = real_vacuum_moment(a)
     primes = _primes_up_to(_MELLIN_PRIME_BOUND)
     # int ** float rounds as float(p) ** float; reduce subtracts left to right
-    log_finite = reduce(sub, map(math.log1p, map(neg, map(pow, primes, repeat(-a)))), 0.0)
+    powers = list(map(pow, primes, repeat(-a)))
+    log_finite = reduce(sub, map(math.log1p, map(neg, powers)), 0.0)
     # tail of log prod (1-p^-a)^-1 over p > _MELLIN_PRIME_BOUND:
     # sum_k (prime_zeta(k a) - partial_sum(k a)) / k; the k-th term is of
     # order _MELLIN_PRIME_BOUND**(1 - k a), negligible past k a ~ 4
     log_tail = 0.0
     k = 1
     while k * a < 8.0:
-        partial = sum(map(pow, primes, repeat(-k * a)))
+        # -1 * a == -a exactly, so k = 1 reuses the powers of log_finite
+        partial = sum(powers if k == 1 else map(pow, primes, repeat(-k * a)))
         log_tail += (_prime_zeta(k * a) - partial) / k
         k += 1
     numeric = math.sqrt(2.0) * moment * math.exp(log_finite + log_tail)

@@ -415,22 +415,33 @@ with contextlib.redirect_stdout(io.StringIO()):
 stages["three commands"] = loaded()
 residual = adelic.mellin_vacuum(2.0).residual
 stages["mellin_vacuum"] = loaded()
-print(json.dumps({"stages": stages, "codes": codes, "residual": residual}))
+fourier = adelic.gaussian_fourier_residual(1.0)
+stages["gaussian_fourier_residual"] = loaded()
+oracle = abs(adelic.padic_gauss_oracle(3, 0, 2, 3) - (1 - 1j))
+stages["padic_gauss_oracle"] = loaded()
+print(json.dumps({"stages": stages, "codes": codes, "residual": residual,
+                  "fourier": fourier, "oracle": oracle}))
 """
 
 
 def test_scipy_and_numpy_load_only_where_used():
-    with criterion("import adelic and exact CLI commands load neither scipy nor numpy"):
+    with criterion("no command or library function loads scipy or numpy"):
         result = _run_python(["-c", _IMPORT_PROBE])
         assert result.returncode == 0, result.stderr
         probe = json.loads(result.stdout)
         stages = probe["stages"]
-        assert stages["import adelic"] == []
-        assert stages["import adelic.cli"] == []
+        assert stages == {
+            "import adelic": [],
+            "import adelic.cli": [],
+            "three commands": [],
+            "mellin_vacuum": [],
+            "gaussian_fourier_residual": [],
+            "padic_gauss_oracle": [],
+        }
         assert probe["codes"] == [0, 0, 0]
-        assert stages["three commands"] == []
-        assert "scipy" in stages["mellin_vacuum"]
         assert probe["residual"] <= 1e-8
+        assert probe["fourier"] < 1e-8
+        assert probe["oracle"] < 1e-9
 
 
 def test_cli_cold_start():
@@ -442,4 +453,18 @@ def test_cli_cold_start():
             elapsed.append(time.perf_counter() - start)
             assert result.returncode == 0, result.stderr
             assert result.stdout.strip() == "1 = 12 × 1/4 × 1/3 ✓ exact"
+        assert min(elapsed) < 0.3, f"cold starts took {', '.join(f'{t:.2f}' for t in elapsed)}s"
+
+
+def test_cli_cold_start_mellin():
+    with criterion("CLI cold start: best of 3 `python -m adelic.cli mellin 2` < 0.3s"):
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = _run_python(["-m", "adelic.cli", "mellin", "2"])
+            elapsed.append(time.perf_counter() - start)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip() == (
+                "mellin(2.0): numeric 0.740480489693, closed 0.740480489693, residual 5.551e-16"
+            )
         assert min(elapsed) < 0.3, f"cold starts took {', '.join(f'{t:.2f}' for t in elapsed)}s"

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adelic
 from adelic.cli import main
 
 
@@ -230,3 +235,15 @@ class TestDoubleRange:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "double range" in err
+
+    def test_mellin_overflow_exits_2_without_traceback(self):
+        # a fresh process, so that an escaping exception would show as exit 1
+        env = dict(os.environ, PYTHONIOENCODING="utf-8")
+        package_root = str(Path(adelic.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "adelic.cli", "mellin", "400"],
+            env=env, capture_output=True, encoding="utf-8", timeout=60,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert "double range" in result.stderr and "Traceback" not in result.stderr
