@@ -26,7 +26,6 @@ from .local import (
     local_abs,
     places_for,
 )
-from .quadrature import quad_semi_infinite
 from .rational import DomainError, RationalLike, _valuation, require_prime, support
 from .symbols import EighthRoot, ExactFactor, weil_index
 
@@ -256,7 +255,9 @@ def fourier_self_dual_check(k: RationalLike) -> bool:
 
 def gaussian_fourier_residual(k: float) -> float:
     """|quadrature of the Gaussian Fourier integral at k minus exp(-pi k**2)|."""
+    from .quadrature import quad_semi_infinite  # deferred: only this check integrates
+
     val = quad_semi_infinite(
-        lambda x: math.exp(-math.pi * x * x) * math.cos(2 * math.pi * k * x), 200
+        lambda x: math.exp(-math.pi * x * x) * math.cos(2 * math.pi * k * x)
     ).value
     return abs(2.0 * val - math.exp(-math.pi * k * k))

@@ -11,11 +11,12 @@ literally, so every intermediate double is rounded as in the original:
 - dqelg, the epsilon algorithm that extrapolates the sequence of area sums;
 - quad_semi_infinite, the adaptive bisection loop of dqagie.
 
-The result equals scipy.integrate.quad(f, 0, inf, limit=...) with its default
+The result equals scipy.integrate.quad(f, 0, inf, limit=200) with its default
 tolerances bit for bit (value, error estimate and interval count); the tests
 compare the two.  Only what the library uses is kept: the lower bound 0
-(QUADPACK's inf = 1, bound = 0), epsabs = epsrel = 1.49e-8, and no error
-flag ier, so the divergence test, which only sets that flag, is left out.
+(QUADPACK's inf = 1, bound = 0), epsabs = epsrel = 1.49e-8, limit = 200
+subintervals, and no error flag ier, so the divergence test, which only sets
+that flag, is left out.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _UFLOW = sys.float_info.min  # d1mach(1)
 _OFLOW = sys.float_info.max  # d1mach(2)
 _EPSABS = _EPSREL = 1.49e-8  # scipy.integrate.quad's defaults
+_LIMIT = 200  # most subintervals, QUADPACK's limit
 
 # Kronrod nodes xgk, Kronrod weights wgk and Gauss weights wg (zero where
 # xgk is a Kronrod-only node); index 7 is the centre of the interval.
@@ -113,7 +115,7 @@ def dqk15i(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
 
 
 def dqpsrt(
-    limit: int, last: int, maxerr: int, elist: list[float], iord: list[int], nrmax: int
+    last: int, maxerr: int, elist: list[float], iord: list[int], nrmax: int
 ) -> tuple[int, float, int]:
     """Insert the two newest intervals into the descending error order iord.
 
@@ -136,8 +138,8 @@ def dqpsrt(
         # only the jupbn largest errors are kept in order: that many
         # bisections at most remain
         jupbn = last
-        if last > limit // 2 + 2:
-            jupbn = limit + 3 - last
+        if last > _LIMIT // 2 + 2:
+            jupbn = _LIMIT + 3 - last
         errmin = elist[last]
         jbnd = jupbn - 1
         i = nrmax + 1
@@ -165,116 +167,105 @@ def dqpsrt(
     return maxerr, elist[maxerr], nrmax
 
 
-class _Epsilon:
-    """State of the epsilon-algorithm table (rlist2, numrl2, res3la, nres)."""
+def dqelg(n: int, epstab: list[float], res3la: list[float], nres: int) -> tuple[int, int, float, float]:
+    """Extrapolate the limit of the table epstab[1..n] with the epsilon algorithm.
 
-    def __init__(self) -> None:
-        self.epstab = [0.0] * 53  # rlist2(52), 1-based: index 0 is unused
-        self.n = 0
-        self.res3la = [0.0] * 4  # 1-based
-        self.nres = 0
-
-    def dqelg(self) -> tuple[float, float]:
-        """Extrapolate the table's limit; returns (result, abserr)."""
-        epstab = self.epstab
-        res3la = self.res3la
-        self.nres += 1
-        nres = self.nres
-        n = self.n
-        abserr = _OFLOW
-        result = epstab[n]
-        if n >= 3:
-            limexp = 50
-            epstab[n + 2] = epstab[n]
-            newelm = (n - 1) // 2
-            epstab[n] = _OFLOW
-            num = n
-            k1 = n
-            converged = False
-            for i in range(1, newelm + 1):
-                k2 = k1 - 1
-                k3 = k1 - 2
-                res = epstab[k1 + 2]
-                e0 = epstab[k3]
-                e1 = epstab[k2]
-                e2 = res
-                e1abs = abs(e1)
-                delta2 = e2 - e1
-                err2 = abs(delta2)
-                tol2 = max(abs(e2), e1abs) * _EPMACH
-                delta3 = e1 - e0
-                err3 = abs(delta3)
-                tol3 = max(e1abs, abs(e0)) * _EPMACH
-                if err2 <= tol2 and err3 <= tol3:
-                    # e0, e1 and e2 agree to machine accuracy: converged
-                    result = res
-                    abserr = err2 + err3
-                    converged = True
-                    break
-                e3 = epstab[k1]
-                epstab[k1] = e1
-                delta1 = e1 - e3
-                err1 = abs(delta1)
-                tol1 = max(e1abs, abs(e3)) * _EPMACH
-                if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                    n = i + i - 1
-                    break
-                ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-                epsinf = abs(ss * e1)
-                if not epsinf > 0.1e-3:
-                    # irregular behaviour: omit part of the table
-                    n = i + i - 1
-                    break
-                res = e1 + 1.0 / ss
-                epstab[k1] = res
-                k1 = k1 - 2
-                error = err2 + abs(res - e2) + err3
-                if error > abserr:
-                    continue
-                abserr = error
+    epstab (rlist2 of QUADPACK, 52 entries) and res3la (its last three
+    results) are 1-based and updated in place; nres counts the calls.
+    Returns the new (n, nres, result, abserr).
+    """
+    nres += 1
+    abserr = _OFLOW
+    result = epstab[n]
+    if n >= 3:
+        limexp = 50
+        epstab[n + 2] = epstab[n]
+        newelm = (n - 1) // 2
+        epstab[n] = _OFLOW
+        num = n
+        k1 = n
+        converged = False
+        for i in range(1, newelm + 1):
+            k2 = k1 - 1
+            k3 = k1 - 2
+            res = epstab[k1 + 2]
+            e0 = epstab[k3]
+            e1 = epstab[k2]
+            e2 = res
+            e1abs = abs(e1)
+            delta2 = e2 - e1
+            err2 = abs(delta2)
+            tol2 = max(abs(e2), e1abs) * _EPMACH
+            delta3 = e1 - e0
+            err3 = abs(delta3)
+            tol3 = max(e1abs, abs(e0)) * _EPMACH
+            if err2 <= tol2 and err3 <= tol3:
+                # e0, e1 and e2 agree to machine accuracy: converged
                 result = res
-            if not converged:
-                # shift the table
-                if n == limexp:
-                    n = 2 * (limexp // 2) - 1
-                ib = 1 if num % 2 else 2
-                for _ in range(newelm + 1):
-                    epstab[ib] = epstab[ib + 2]
-                    ib += 2
-                if num != n:
-                    indx = num - n + 1
-                    for i in range(1, n + 1):
-                        epstab[i] = epstab[indx]
-                        indx += 1
-                if nres < 4:
-                    res3la[nres] = result
-                    abserr = _OFLOW
-                else:
-                    abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
-                    res3la[1] = res3la[2]
-                    res3la[2] = res3la[3]
-                    res3la[3] = result
-        self.n = n
-        return result, max(abserr, 5.0 * _EPMACH * abs(result))
+                abserr = err2 + err3
+                converged = True
+                break
+            e3 = epstab[k1]
+            epstab[k1] = e1
+            delta1 = e1 - e3
+            err1 = abs(delta1)
+            tol1 = max(e1abs, abs(e3)) * _EPMACH
+            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                n = i + i - 1
+                break
+            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+            epsinf = abs(ss * e1)
+            if not epsinf > 0.1e-3:
+                # irregular behaviour: omit part of the table
+                n = i + i - 1
+                break
+            res = e1 + 1.0 / ss
+            epstab[k1] = res
+            k1 = k1 - 2
+            error = err2 + abs(res - e2) + err3
+            if error > abserr:
+                continue
+            abserr = error
+            result = res
+        if not converged:
+            # shift the table
+            if n == limexp:
+                n = 2 * (limexp // 2) - 1
+            ib = 1 if num % 2 else 2
+            for _ in range(newelm + 1):
+                epstab[ib] = epstab[ib + 2]
+                ib += 2
+            if num != n:
+                indx = num - n + 1
+                for i in range(1, n + 1):
+                    epstab[i] = epstab[indx]
+                    indx += 1
+            if nres < 4:
+                res3la[nres] = result
+                abserr = _OFLOW
+            else:
+                abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
+                res3la[1] = res3la[2]
+                res3la[2] = res3la[3]
+                res3la[3] = result
+    return n, nres, result, max(abserr, 5.0 * _EPMACH * abs(result))
 
 
-def quad_semi_infinite(f: Callable[[float], float], limit: int) -> QuadResult:
-    """Integral of f over [0, +inf) on at most limit subintervals: QUADPACK dqagie.
+def quad_semi_infinite(f: Callable[[float], float]) -> QuadResult:
+    """Integral of f over [0, +inf): QUADPACK dqagie.
 
     Exceptions raised by f propagate unchanged.
     """
-    if limit < 1:
-        raise ValueError("dqagie needs limit >= 1")
     # 1-based lists as in QUADPACK; index 0 is unused
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 2)
+    alist = [0.0] * (_LIMIT + 1)
+    blist = [0.0] * (_LIMIT + 1)
+    rlist = [0.0] * (_LIMIT + 1)
+    elist = [0.0] * (_LIMIT + 1)
+    iord = [0] * (_LIMIT + 2)
     blist[1] = 1.0
 
-    # first approximation to the integral
-    ier = 0
+    # first approximation to the integral; it is returned when roundoff
+    # keeps it from the requested accuracy (QUADPACK's ier = 2) or reaches it
     result, abserr, defabs, resabs = dqk15i(f, 0.0, 1.0)
     last = 1
     rlist[1] = result
@@ -282,15 +273,18 @@ def quad_semi_infinite(f: Callable[[float], float], limit: int) -> QuadResult:
     iord[1] = 1
     dres = abs(result)
     errbnd = max(_EPSABS, _EPSREL * dres)
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if limit == 1:
-        ier = 1
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+    if (
+        (abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd)
+        or (abserr <= errbnd and abserr != resabs)
+        or abserr == 0.0
+    ):
         return QuadResult(result, abserr, last)
 
-    eps = _Epsilon()
-    eps.epstab[1] = result
+    # the epsilon table of area sums: rlist2 (1-based) holding numrl2 entries
+    rlist2 = [0.0] * 53
+    res3la = [0.0] * 4
+    nres = 0
+    rlist2[1] = result
     errmax = abserr
     maxerr = 1
     area = result
@@ -298,7 +292,8 @@ def quad_semi_infinite(f: Callable[[float], float], limit: int) -> QuadResult:
     abserr = _OFLOW
     nrmax = 1
     ktmin = 0
-    eps.n = 2
+    numrl2 = 2
+    ier = 0
     extrap = False
     noext = False
     ierro = 0
@@ -308,7 +303,7 @@ def quad_semi_infinite(f: Callable[[float], float], limit: int) -> QuadResult:
     # the loop ends either at summing the interval list (QUADPACK's label
     # 115) or at choosing between extrapolated and summed values (label 100)
     summed = False
-    for last in range(2, limit + 1):
+    for last in range(2, _LIMIT + 1):
         # bisect the subinterval with the nrmax-th largest error estimate
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
@@ -340,7 +335,7 @@ def quad_semi_infinite(f: Callable[[float], float], limit: int) -> QuadResult:
             ier = 2
         if iroff2 >= 5:
             ierro = 3
-        if last == limit:
+        if last == _LIMIT:
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
             ier = 4
@@ -361,7 +356,7 @@ def quad_semi_infinite(f: Callable[[float], float], limit: int) -> QuadResult:
             elist[maxerr] = error1
             elist[last] = error2
 
-        maxerr, errmax, nrmax = dqpsrt(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax, nrmax = dqpsrt(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             summed = True
             break
@@ -371,7 +366,7 @@ def quad_semi_infinite(f: Callable[[float], float], limit: int) -> QuadResult:
             small = 0.375
             erlarg = errsum
             ertest = errbnd
-            eps.epstab[2] = area
+            rlist2[2] = area
             continue
         if noext:
             continue
@@ -388,8 +383,8 @@ def quad_semi_infinite(f: Callable[[float], float], limit: int) -> QuadResult:
             # the smallest interval has the largest error: before bisecting,
             # decrease the error sum over the larger intervals (erlarg)
             jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
+            if last > 2 + _LIMIT // 2:
+                jupbnd = _LIMIT + 3 - last
             larger = False
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
@@ -402,9 +397,9 @@ def quad_semi_infinite(f: Callable[[float], float], limit: int) -> QuadResult:
                 continue
 
         # extrapolate
-        eps.n += 1
-        eps.epstab[eps.n] = area
-        reseps, abseps = eps.dqelg()
+        numrl2 += 1
+        rlist2[numrl2] = area
+        numrl2, nres, reseps, abseps = dqelg(numrl2, rlist2, res3la, nres)
         ktmin += 1
         if ktmin > 5 and abserr < 0.1e-2 * errsum:
             ier = 5
@@ -418,7 +413,7 @@ def quad_semi_infinite(f: Callable[[float], float], limit: int) -> QuadResult:
                 break
 
         # prepare bisection of the smallest interval
-        if eps.n == 1:
+        if numrl2 == 1:
             noext = True
         if ier == 5:
             break

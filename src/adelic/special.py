@@ -17,7 +17,6 @@ from itertools import repeat
 from operator import add, mul, neg, sub
 
 from .local import Place
-from .quadrature import quad_semi_infinite
 from .rational import DomainError, primes_up_to
 
 _POLE_TOL = 1e-8
@@ -300,7 +299,6 @@ def zeta_adelic(a: complex) -> complex:
     return zeta_local(a, Place.infinity()) * value
 
 
-_QUADRATURE_LIMIT = 200
 _MELLIN_PRIME_BOUND = 100_000
 
 
@@ -312,10 +310,10 @@ def real_vacuum_moment(a: float) -> float:
     """
     if a <= 0:
         raise DomainError("moment integral requires a > 0")
+    from .quadrature import quad_semi_infinite  # deferred: only the Mellin path integrates
+
     try:
-        val = quad_semi_infinite(
-            lambda x: math.exp(-math.pi * x * x) * x ** (a - 1.0), _QUADRATURE_LIMIT
-        ).value
+        val = quad_semi_infinite(lambda x: math.exp(-math.pi * x * x) * x ** (a - 1.0)).value
     except OverflowError:
         raise DomainError(f"the moment integrand at a = {a} leaves the double range") from None
     return 2.0 * val

@@ -120,6 +120,9 @@ class TestGaussOracle:
         assert abs(padic_gauss_oracle(3, 0, 2, 3) - closed) < 1e-9
 
     def test_cost_guards(self):
+        # period 2**(2*11 - 1) = 2**21, the first power of 2 above the 2**20 cap
+        with pytest.raises(DomainError):
+            padic_gauss_oracle(2, 0, 2, 11)
         with pytest.raises(DomainError):
             padic_gauss_oracle(1, 0, 2, 13)
         with pytest.raises(DomainError):
