@@ -1,17 +1,21 @@
 """Byte-for-byte CLI output against golden files.
 
 ``cli_golden.json`` holds, for every invocation in ``CASES``, the exit code,
-stdout and stderr of ``adelic.cli.main`` run in-process.  A refactor that
-keeps the CLI unchanged keeps this test green.  To re-capture after an
-intended output change, run ``PYTHONPATH=src python tests/test_cli_golden.py``.
+stdout and stderr of ``adelic.cli.main`` run in-process, with ``COLUMNS=80``
+because argparse wraps its usage and help text at the terminal width.  A
+refactor that keeps the CLI unchanged keeps this test green.  To re-capture
+after an intended output change, run
+``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
 import contextlib
 import functools
 import io
 import json
+import os
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
@@ -53,6 +57,81 @@ FAMILIES = (
 )
 
 
+# every subcommand, in the order of the help text
+SUBCOMMANDS = (
+    "norm", "digits", "frac", "char", "legendre", "hilbert", "lambda", "gauss", "kernel",
+    "gamma", "beta", "zeta", "mellin", "wavefn", "dynamics", "verify", "suite",
+)
+
+# subcommands and argument kinds the documented commands leave out
+UNDOCUMENTED = (
+    "frac 7/8 2",
+    "frac 16/3 3 --json",
+    "frac 0 5",
+    "legendre 3 7",
+    "legendre 0 7 --json",
+    "legendre -1 5",
+    "hilbert -1 -1 inf",
+    "hilbert 2 5 2 --json",
+    "beta 0.25 0.5 3",
+    "beta 2 2 2 --json",
+    "beta 0.3+0.2i 1.7-0.4i inf --json",
+    "zeta 2 3",
+    "zeta 1 2",
+    "zeta 2 inf --json",
+    "zeta 2 adelic",
+    "zeta 2 a --json",
+    "zeta 0.5+1i ADELIC",
+    "gamma 2 inf",
+    "gamma 0.5+1i inf --json",
+    "norm 0 5 --json",
+    "char -22/7 7 --json",
+    "lambda 3/5 inf --json",
+    "gauss 3/4 2/5 3",
+    "kernel 1/2 1/3 2 3/5 2 --json",
+    "wavefn 3 --json",
+    "dynamics classify 1 1 0 1",
+    "dynamics orbit 2 0 1 1/2 --x0 1/3 --fixed-point 0 --place inf --steps 3",
+)
+
+# domain errors (exit 2, one line on stderr) and a failed comparison (exit 1)
+FAILURES = (
+    "frac 1/4 inf",
+    "frac 1/4 6",
+    "legendre 3 2",
+    "legendre 3 inf",
+    "digits 7/8 inf 3",
+    "digits 0 2 3",
+    "digits 7/8 2 0",
+    "hilbert 0 1 2",
+    "hilbert 1 1 4",
+    "beta 0.5 0.5 inf",
+    "zeta 1",
+    "gamma 1 inf",
+    "gamma 2 0",
+    "norm 3 6",
+    "norm 1.5 2",
+    "norm 7/8 x",
+    "wavefn x",
+    "mellin 1",
+    "dynamics classify 1 0 0 1",
+    "verify beta-product 1",
+    "suite no-such-family --trials 1",
+    "mellin 3 --tol 1e-30",
+)
+
+# argparse rejections and help texts
+USAGE = (
+    "norm 7/8",
+    "digits 7/8 2 x",
+    "mellin x",
+    "verify norm-product 12 --tol x",
+    "nosuch 1",
+    "",
+    "--help",
+) + tuple(f"{cmd} --help" for cmd in SUBCOMMANDS)
+
+
 def _toggle_json(cmd: str) -> str:
     return cmd.replace(" --json", "") if "--json" in cmd else cmd + " --json"
 
@@ -72,12 +151,19 @@ CASES = tuple(dict.fromkeys(
     + tuple(
         f"suite {f.split()[0]} --trials 20 --height 1000 --seed 7 --json" for f in FAMILIES
     )
+    + UNDOCUMENTED
+    + FAILURES
+    + USAGE
 ))
 
 
 def run_cli(cmd: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         code = main(cmd.split())
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
