@@ -3,6 +3,12 @@
 Exit codes: 0 for success (including numeric passes within tolerance), 1 for
 a verification failure, 2 for usage or domain errors.  Every subcommand takes
 --json for machine-readable output on stdout; diagnostics go to stderr.
+
+Each subcommand is described once, in the table ``commands()`` returns: its
+help line, its arguments and what it runs.  The nine local-value commands
+(norm, char, hilbert, lambda, gauss, kernel, gamma, beta, zeta) evaluate one
+library function each and share one handler: the kind of an argument decides
+how it is parsed and shown, the type of the value how the result is shown.
 """
 
 from __future__ import annotations
@@ -12,17 +18,16 @@ import dataclasses
 import json
 import re
 import sys
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable
 
 from . import dynamics as dyn
 from . import gauss, special
-from .local import (
-    additive_character,
-    frac_part,
-    local_abs,
-    parse_place,
-)
+from .gauss import GaussFactor
+from .local import Place, RootOfUnity, additive_character, frac_part, local_abs, parse_place
 from .rational import DomainError, digit_expansion, parse_rational
-from .symbols import hilbert_symbol, legendre_symbol, weil_index
+from .symbols import EighthRoot, hilbert_symbol, legendre_symbol, weil_index
 from .verifier import REGISTRY, parse_complex
 
 
@@ -33,201 +38,134 @@ def _emit(ns: argparse.Namespace, payload: dict, text: str) -> None:
         print(text)
 
 
-def _cmd_norm(ns: argparse.Namespace) -> int:
-    x = parse_rational(ns.x)
-    place = parse_place(ns.place)
-    value = local_abs(x, place)
-    _emit(ns, {"op": "norm", "x": str(x), "place": str(place), "value": str(value)},
-          f"|{x}|_{place} = {value}")
+@dataclass(frozen=True)
+class Kind:
+    """How a local-value argument is parsed, put in the JSON payload and labelled in text.
+
+    The text label is str() of the parsed value, or with shows_token the
+    token as typed.  options are argparse keywords for the argument.
+    """
+
+    parse: Callable[[str], object]
+    payload: Callable[[object], object] = str
+    shows_token: bool = False
+    options: dict = field(default_factory=dict)
+
+
+def _adelic_or_place(token: str | None) -> str | Place:
+    # zeta's place may be omitted or be "adelic" ("a"): the completed zeta
+    if token is None or token.strip().lower() in ("adelic", "a"):
+        return "adelic"
+    return parse_place(token)
+
+
+RATIONAL = Kind(parse_rational)
+PLACE = Kind(parse_place)
+COMPLEX = Kind(parse_complex, lambda z: [z.real, z.imag], shows_token=True)
+ADELIC_OR_PLACE = Kind(_adelic_or_place, options={"nargs": "?", "default": None})
+
+
+def _zeta(a: complex, where: str | Place) -> complex:
+    return special.zeta_adelic(a) if where == "adelic" else special.zeta_local(a, where)
+
+
+def _approx(value, **fields) -> tuple[dict, str]:
+    z = value.to_complex()
+    return {**fields, "approx": [z.real, z.imag]}, f"{value}  ~ {z.real:.6f}{z.imag:+.6f}i"
+
+
+# type of a local value -> its JSON fields and its text
+_RENDER: dict[type, Callable[[object], tuple[dict, str]]] = {
+    Fraction: lambda v: ({"value": str(v)}, str(v)),
+    int: lambda v: ({"value": v}, f"{v:+d}"),  # a sign
+    RootOfUnity: lambda v: _approx(v, phase=str(v.phase)),
+    EighthRoot: lambda v: _approx(v, eighth_root_exponent=v.k),
+    GaussFactor: lambda v: _approx(
+        v, eighth_root_exponent=v.root.k, magnitude_base=str(v.mag_base), phase=str(v.phase.phase)
+    ),
+    complex: lambda v: ({"value": [v.real, v.imag]}, f"{v.real:.12g}{v.imag:+.12g}i"),
+}
+
+
+def _cmd_local(ns: argparse.Namespace) -> int:
+    """Parse every argument by its kind, evaluate, render by the value's type."""
+    cmd = ns.cmd
+    tokens = [getattr(ns, name) for name, _ in cmd.args]
+    values = [kind.parse(token) for (_, kind), token in zip(cmd.args, tokens)]
+    value = cmd.evaluate(*values)
+    fields, shown = _RENDER[type(value)](value)
+    payload = {"op": cmd.name, **fields}
+    labels = {}
+    for (name, kind), token, parsed in zip(cmd.args, tokens, values):
+        payload[name] = kind.payload(parsed)
+        labels[name] = token if kind.shows_token else str(parsed)
+    _emit(ns, payload, f"{cmd.head.format(**labels)}_{labels['place']} = {shown}")
     return 0
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, its arguments in order, and what it runs.
+
+    A local-value command gives the library function it evaluates and the head
+    of its text line (a format of the argument labels; the place and the value
+    follow), and each of its arguments is a Kind.  Any other command gives its
+    own handler, and argparse keywords for each argument.
+    """
+
+    name: str
+    help: str
+    args: tuple[tuple[str, Kind | dict], ...]
+    handler: Callable[[argparse.Namespace], int] = _cmd_local
+    evaluate: Callable[..., object] | None = None
+    head: str = ""
+
+
+def _finite_prime(token: str, message: str) -> int:
+    """The prime of a finite place; the archimedean place raises DomainError(message)."""
+    place = parse_place(token)
+    if place.is_infinite:
+        raise DomainError(message)
+    return place.prime
 
 
 def _cmd_digits(ns: argparse.Namespace) -> int:
     x = parse_rational(ns.x)
-    place = parse_place(ns.prime)
-    if place.is_infinite:
-        raise DomainError("digit expansions are defined at finite places only")
-    exp = digit_expansion(x, place.prime, ns.count)
-    payload = {
-        "op": "digits",
-        "x": str(x),
-        "prime": place.prime,
-        "valuation": exp.valuation,
-        "digits": list(exp.digits),
-    }
-    _emit(ns, payload,
-          f"{x} = {place.prime}^{exp.valuation} * ({' + '.join(f'{d}*{place.prime}^{k}' for k, d in enumerate(exp.digits))} + ...)")
+    p = _finite_prime(ns.prime, "digit expansions are defined at finite places only")
+    exp = digit_expansion(x, p, ns.count)
+    payload = {"op": "digits", "x": str(x), "prime": p, "valuation": exp.valuation, "digits": list(exp.digits)}
+    terms = " + ".join(f"{d}*{p}^{k}" for k, d in enumerate(exp.digits))
+    _emit(ns, payload, f"{x} = {p}^{exp.valuation} * ({terms} + ...)")
     return 0
 
 
 def _cmd_frac(ns: argparse.Namespace) -> int:
     x = parse_rational(ns.x)
-    place = parse_place(ns.prime)
-    if place.is_infinite:
-        raise DomainError("fractional parts are defined at finite places only")
-    value = frac_part(x, place.prime)
-    _emit(ns, {"op": "frac", "x": str(x), "prime": place.prime, "value": str(value)},
-          f"{{{x}}}_{place.prime} = {value}")
-    return 0
-
-
-def _cmd_char(ns: argparse.Namespace) -> int:
-    x = parse_rational(ns.x)
-    place = parse_place(ns.place)
-    chi = additive_character(x, place)
-    z = chi.to_complex()
-    payload = {
-        "op": "char",
-        "x": str(x),
-        "place": str(place),
-        "phase": str(chi.phase),
-        "approx": [z.real, z.imag],
-    }
-    _emit(ns, payload, f"character({x})_{place} = {chi}  ~ {z.real:.6f}{z.imag:+.6f}i")
+    p = _finite_prime(ns.prime, "fractional parts are defined at finite places only")
+    value = frac_part(x, p)
+    _emit(ns, {"op": "frac", "x": str(x), "prime": p, "value": str(value)}, f"{{{x}}}_{p} = {value}")
     return 0
 
 
 def _cmd_legendre(ns: argparse.Namespace) -> int:
-    place = parse_place(ns.prime)
-    if place.is_infinite:
-        raise DomainError("the Legendre symbol needs an odd prime")
-    value = legendre_symbol(ns.a, place.prime)
-    _emit(ns, {"op": "legendre", "a": ns.a, "p": place.prime, "value": value},
-          f"({ns.a}/{place.prime}) = {value:+d}" if value else f"({ns.a}/{place.prime}) = 0")
-    return 0
-
-
-def _cmd_hilbert(ns: argparse.Namespace) -> int:
-    x = parse_rational(ns.x)
-    y = parse_rational(ns.y)
-    place = parse_place(ns.place)
-    value = hilbert_symbol(x, y, place)
-    _emit(ns, {"op": "hilbert", "x": str(x), "y": str(y), "place": str(place), "value": value},
-          f"({x},{y})_{place} = {value:+d}")
-    return 0
-
-
-def _cmd_lambda(ns: argparse.Namespace) -> int:
-    x = parse_rational(ns.x)
-    place = parse_place(ns.place)
-    w = weil_index(x, place)
-    z = w.to_complex()
-    payload = {
-        "op": "lambda",
-        "x": str(x),
-        "place": str(place),
-        "eighth_root_exponent": w.k,
-        "approx": [z.real, z.imag],
-    }
-    _emit(ns, payload, f"lambda({x})_{place} = {w}  ~ {z.real:.6f}{z.imag:+.6f}i")
-    return 0
-
-
-def _cmd_gauss(ns: argparse.Namespace) -> int:
-    a = parse_rational(ns.a)
-    b = parse_rational(ns.b)
-    place = parse_place(ns.place)
-    f = gauss.gauss_factor(a, b, place)
-    z = f.to_complex()
-    payload = {
-        "op": "gauss",
-        "a": str(a),
-        "b": str(b),
-        "place": str(place),
-        "eighth_root_exponent": f.root.k,
-        "magnitude_base": str(f.mag_base),
-        "phase": str(f.phase.phase),
-        "approx": [z.real, z.imag],
-    }
-    _emit(ns, payload, f"gauss({a},{b})_{place} = {f}  ~ {z.real:.6f}{z.imag:+.6f}i")
-    return 0
-
-
-def _cmd_kernel(ns: argparse.Namespace) -> int:
-    x2 = parse_rational(ns.x2)
-    x1 = parse_rational(ns.x1)
-    accel = parse_rational(ns.accel)
-    T = parse_rational(ns.T)
-    place = parse_place(ns.place)
-    k = gauss.kernel(x2, x1, accel, T, place)
-    z = k.to_complex()
-    payload = {
-        "op": "kernel",
-        "x2": str(x2),
-        "x1": str(x1),
-        "accel": str(accel),
-        "T": str(T),
-        "place": str(place),
-        "eighth_root_exponent": k.root.k,
-        "magnitude_base": str(k.mag_base),
-        "phase": str(k.phase.phase),
-        "approx": [z.real, z.imag],
-    }
-    _emit(ns, payload, f"kernel({x2},{x1};accel={accel},T={T})_{place} = {k}  ~ {z.real:.6f}{z.imag:+.6f}i")
-    return 0
-
-
-def _cmd_gamma(ns: argparse.Namespace) -> int:
-    a = parse_complex(ns.a)
-    place = parse_place(ns.place)
-    value = special.gamma_local(a, place)
-    payload = {
-        "op": "gamma",
-        "a": [a.real, a.imag],
-        "place": str(place),
-        "value": [value.real, value.imag],
-    }
-    _emit(ns, payload, f"gamma({ns.a})_{place} = {value.real:.12g}{value.imag:+.12g}i")
-    return 0
-
-
-def _cmd_beta(ns: argparse.Namespace) -> int:
-    a = parse_complex(ns.a)
-    b = parse_complex(ns.b)
-    place = parse_place(ns.place)
-    value = special.beta_local(a, b, place)
-    payload = {
-        "op": "beta",
-        "a": [a.real, a.imag],
-        "b": [b.real, b.imag],
-        "place": str(place),
-        "value": [value.real, value.imag],
-    }
-    _emit(ns, payload, f"beta({ns.a},{ns.b})_{place} = {value.real:.12g}{value.imag:+.12g}i")
-    return 0
-
-
-def _cmd_zeta(ns: argparse.Namespace) -> int:
-    a = parse_complex(ns.a)
-    if ns.place is None or ns.place.strip().lower() in ("adelic", "a"):
-        value = special.zeta_adelic(a)
-        where = "adelic"
-    else:
-        place = parse_place(ns.place)
-        value = special.zeta_local(a, place)
-        where = str(place)
-    payload = {
-        "op": "zeta",
-        "a": [a.real, a.imag],
-        "place": where,
-        "value": [value.real, value.imag],
-    }
-    _emit(ns, payload, f"zeta({ns.a})_{where} = {value.real:.12g}{value.imag:+.12g}i")
+    p = _finite_prime(ns.prime, "the Legendre symbol needs an odd prime")
+    value = legendre_symbol(ns.a, p)
+    _emit(ns, {"op": "legendre", "a": ns.a, "p": p, "value": value},
+          f"({ns.a}/{p}) = {value:+d}" if value else f"({ns.a}/{p}) = 0")
     return 0
 
 
 def _cmd_mellin(ns: argparse.Namespace) -> int:
-    a = float(ns.a)
-    comparison = special.mellin_vacuum(a)
+    comparison = special.mellin_vacuum(ns.a)
     payload = {
         "op": "mellin",
-        "a": a,
+        "a": ns.a,
         "numeric": comparison.numeric,
         "closed": comparison.closed,
         "residual": comparison.residual,
     }
     _emit(ns, payload,
-          f"mellin({a}): numeric {comparison.numeric:.12g}, closed {comparison.closed:.12g}, "
+          f"mellin({ns.a}): numeric {comparison.numeric:.12g}, closed {comparison.closed:.12g}, "
           f"residual {comparison.residual:.3e}")
     return 0 if comparison.residual <= ns.tol else 1
 
@@ -244,24 +182,6 @@ def _cmd_wavefn(ns: argparse.Namespace) -> int:
     }
     _emit(ns, payload, f"vacuum({x}) = {psi.value:.12g} (gate {psi.padic_gate})")
     return 0
-
-
-def _dynamics_payload(report: dyn.DynamicsReport) -> dict:
-    return {
-        "op": "dynamics",
-        "fixed_points": [
-            {
-                "point": str(r.point),
-                "multiplier": str(r.multiplier),
-                "classification": {str(v): label for v, label in r.per_place},
-                "exceptional": [str(v) for v in r.exceptional],
-            }
-            for r in report.reports
-        ],
-        "irrational_discriminant": (
-            None if report.irrational_discriminant is None else str(report.irrational_discriminant)
-        ),
-    }
 
 
 def _cmd_dynamics(ns: argparse.Namespace) -> int:
@@ -281,7 +201,22 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
             lines.append(f"conjugate irrational pair, discriminant {report.irrational_discriminant}")
         if not lines:
             lines.append("no fixed point data")
-        _emit(ns, _dynamics_payload(report), "\n".join(lines))
+        payload = {
+            "op": "dynamics",
+            "fixed_points": [
+                {
+                    "point": str(r.point),
+                    "multiplier": str(r.multiplier),
+                    "classification": {str(v): label for v, label in r.per_place},
+                    "exceptional": [str(v) for v in r.exceptional],
+                }
+                for r in report.reports
+            ],
+            "irrational_discriminant": (
+                None if report.irrational_discriminant is None else str(report.irrational_discriminant)
+            ),
+        }
+        _emit(ns, payload, "\n".join(lines))
         return 0
     # orbit
     place = parse_place(ns.place)
@@ -347,6 +282,63 @@ def _cmd_suite(ns: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
+def commands() -> tuple[Command, ...]:
+    """Every subcommand, in the order of the help text.
+
+    Built anew for each parser, so that it holds the library functions bound
+    at that time, a wrapper installed after import included.
+    """
+    tol = ("--tol", {"type": float, "default": 1e-8})
+    x, place = ("x", RATIONAL), ("place", PLACE)
+    return (
+        Command("norm", "local absolute value |x|_v", (x, place), evaluate=local_abs, head="|{x}|"),
+        Command("digits", "canonical base-p digits",
+                (("x", {}), ("prime", {}), ("count", {"type": int})), _cmd_digits),
+        Command("frac", "p-adic fractional part", (("x", {}), ("prime", {})), _cmd_frac),
+        Command("char", "additive character value", (x, place),
+                evaluate=additive_character, head="character({x})"),
+        Command("legendre", "Legendre symbol (a/p)", (("a", {"type": int}), ("prime", {})), _cmd_legendre),
+        Command("hilbert", "Hilbert symbol (x,y)_v", (x, ("y", RATIONAL), place),
+                evaluate=hilbert_symbol, head="({x},{y})"),
+        Command("lambda", "Weil index at a place", (x, place), evaluate=weil_index, head="lambda({x})"),
+        Command("gauss", "closed-form local Gauss integral", (("a", RATIONAL), ("b", RATIONAL), place),
+                evaluate=gauss.gauss_factor, head="gauss({a},{b})"),
+        Command("kernel", "local propagator kernel value",
+                (("x2", RATIONAL), ("x1", RATIONAL), ("accel", RATIONAL), ("T", RATIONAL), place),
+                evaluate=gauss.kernel, head="kernel({x2},{x1};accel={accel},T={T})"),
+        Command("gamma", "local gamma factor", (("a", COMPLEX), place),
+                evaluate=special.gamma_local, head="gamma({a})"),
+        Command("beta", "local beta value", (("a", COMPLEX), ("b", COMPLEX), place),
+                evaluate=special.beta_local, head="beta({a},{b})"),
+        Command("zeta", "local or completed zeta value", (("a", COMPLEX), ("place", ADELIC_OR_PLACE)),
+                evaluate=_zeta, head="zeta({a})"),
+        Command("mellin", "vacuum Mellin transform, numeric vs closed form",
+                (("a", {"type": float}), tol), _cmd_mellin),
+        Command("wavefn", "adelic vacuum value at a rational point", (("x", {}),), _cmd_wavefn),
+        Command("dynamics", "fixed points and local classification", (
+            ("action", {"choices": ["classify", "orbit"]}),
+            ("a", {}), ("b", {}), ("c", {}), ("d", {}),
+            ("--x0", {"default": "1"}),
+            ("--fixed-point", {"default": "0"}),
+            ("--place", {"default": "2"}),
+            ("--steps", {"type": int, "default": 6}),
+        ), _cmd_dynamics),
+        Command("verify", "verify one adelic product identity", (
+            ("family", {"help": "e.g. norm-product, lambda-product, functional-equation"}),
+            ("args", {"nargs": "*"}),
+            tol,
+            ("--places", {"default": "", "help": "comma-separated extra places to tabulate"}),
+        ), _cmd_verify),
+        Command("suite", "seeded random verification suite for a family", (
+            ("family", {}),
+            ("--trials", {"type": int, "default": 100}),
+            ("--seed", {"type": int, "default": 42}),
+            ("--height", {"type": int, "default": 1000}),
+            tol,
+        ), _cmd_suite),
+    )
+
+
 # let tokens like -22/7 and -1.5-2i through as positional values
 _VALUE_TOKEN = re.compile(r"^-\d[\d./+i-]*$")
 
@@ -358,100 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser._negative_number_matcher = _VALUE_TOKEN
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for cmd in commands():
+        p = sub.add_parser(cmd.name, help=cmd.help)
         p._negative_number_matcher = _VALUE_TOKEN
-        p.set_defaults(handler=handler)
+        p.set_defaults(cmd=cmd)
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        return p
-
-    p = add("norm", _cmd_norm, "local absolute value |x|_v")
-    p.add_argument("x")
-    p.add_argument("place")
-
-    p = add("digits", _cmd_digits, "canonical base-p digits")
-    p.add_argument("x")
-    p.add_argument("prime")
-    p.add_argument("count", type=int)
-
-    p = add("frac", _cmd_frac, "p-adic fractional part")
-    p.add_argument("x")
-    p.add_argument("prime")
-
-    p = add("char", _cmd_char, "additive character value")
-    p.add_argument("x")
-    p.add_argument("place")
-
-    p = add("legendre", _cmd_legendre, "Legendre symbol (a/p)")
-    p.add_argument("a", type=int)
-    p.add_argument("prime")
-
-    p = add("hilbert", _cmd_hilbert, "Hilbert symbol (x,y)_v")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("place")
-
-    p = add("lambda", _cmd_lambda, "Weil index at a place")
-    p.add_argument("x")
-    p.add_argument("place")
-
-    p = add("gauss", _cmd_gauss, "closed-form local Gauss integral")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("place")
-
-    p = add("kernel", _cmd_kernel, "local propagator kernel value")
-    p.add_argument("x2")
-    p.add_argument("x1")
-    p.add_argument("accel")
-    p.add_argument("T")
-    p.add_argument("place")
-
-    p = add("gamma", _cmd_gamma, "local gamma factor")
-    p.add_argument("a")
-    p.add_argument("place")
-
-    p = add("beta", _cmd_beta, "local beta value")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("place")
-
-    p = add("zeta", _cmd_zeta, "local or completed zeta value")
-    p.add_argument("a")
-    p.add_argument("place", nargs="?", default=None)
-
-    p = add("mellin", _cmd_mellin, "vacuum Mellin transform, numeric vs closed form")
-    p.add_argument("a", type=float)
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = add("wavefn", _cmd_wavefn, "adelic vacuum value at a rational point")
-    p.add_argument("x")
-
-    p = add("dynamics", _cmd_dynamics, "fixed points and local classification")
-    p.add_argument("action", choices=["classify", "orbit"])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.add_argument("d")
-    p.add_argument("--x0", default="1")
-    p.add_argument("--fixed-point", dest="fixed_point", default="0")
-    p.add_argument("--place", default="2")
-    p.add_argument("--steps", type=int, default=6)
-
-    p = add("verify", _cmd_verify, "verify one adelic product identity")
-    p.add_argument("family", help="e.g. norm-product, lambda-product, functional-equation")
-    p.add_argument("args", nargs="*")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--places", default="", help="comma-separated extra places to tabulate")
-
-    p = add("suite", _cmd_suite, "seeded random verification suite for a family")
-    p.add_argument("family")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--height", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-8)
-
+        for name, spec in cmd.args:
+            p.add_argument(name, **(spec.options if isinstance(spec, Kind) else spec))
     return parser
 
 
@@ -462,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return ns.handler(ns)
+        return ns.cmd.handler(ns)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
