@@ -8,7 +8,6 @@ from .rational import (
     DigitExpansion,
     DomainError,
     INFINITE,
-    Rational,
     digit_expansion,
     factorize,
     is_prime,

@@ -225,12 +225,13 @@ def random_map(rng: random.Random, height: int) -> MoebiusMap:
     return MoebiusMap(a, b, c, d)
 
 
-def random_map_with_rational_fixed_points(
-    rng: random.Random, height: int, parabolic_share: float = 0.15
-) -> MoebiusMap:
+_PARABOLIC_SHARE = 0.15
+
+
+def random_map_with_rational_fixed_points(rng: random.Random, height: int) -> MoebiusMap:
     """Random determinant-one map guaranteed to have rational fixed points.
 
-    Conjugates a diagonal (or unipotent, with the given probability) model by
+    Conjugates a diagonal (or unipotent, with probability _PARABOLIC_SHARE) model by
     a random invertible rational matrix; multipliers come out as exact squares
     lam**2 and lam**(-2), so the fixed points stay rational.
     """
@@ -239,7 +240,7 @@ def random_map_with_rational_fixed_points(
         det = g_a * g_d - g_b * g_c
         if det != 0:
             break
-    if rng.random() < parabolic_share:
+    if rng.random() < _PARABOLIC_SHARE:
         m_b = random_rational(rng, height, nonzero=True)
         m_a, m_c, m_d = Fraction(1), Fraction(0), Fraction(1)
     else:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .local import (
     Place,
@@ -218,19 +217,16 @@ def oscillator_profile(x: RationalLike) -> float:
     return 2**0.25 * math.exp(-math.pi * t * t)
 
 
-def ground_state(
-    x: RationalLike, real_profile: Callable[[Fraction], float] | None = None
-) -> WaveFunctionValue:
+def ground_state(x: RationalLike) -> WaveFunctionValue:
     """Adelic ground state at a rational point.
 
     The finite places contribute the product of integrality indicators, which
-    is 1 exactly on the integers; the real place contributes the supplied
-    profile (default: the oscillator vacuum).
+    is 1 exactly on the integers; the real place contributes the oscillator
+    vacuum profile.
     """
     x = Fraction(x)
-    profile = real_profile if real_profile is not None else oscillator_profile
     gate = 1 if x.denominator == 1 else 0
-    return WaveFunctionValue(real_factor=float(profile(x)), padic_gate=gate)
+    return WaveFunctionValue(real_factor=oscillator_profile(x), padic_gate=gate)
 
 
 def fourier_self_dual_check(k: RationalLike) -> bool:

@@ -37,10 +37,6 @@ class Place:
             require_prime(self.prime)
 
     @classmethod
-    def infinity(cls) -> "Place":
-        return cls(None)
-
-    @classmethod
     def finite(cls, p: int) -> "Place":
         return cls(p)
 
@@ -52,7 +48,7 @@ class Place:
         return "inf" if self.prime is None else str(self.prime)
 
 
-INFINITY_PLACE = Place.infinity()
+INFINITY_PLACE = Place(None)
 
 
 def parse_place(token: str) -> Place:
@@ -113,9 +109,6 @@ class RootOfUnity:
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity(self.phase + other.phase)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.phase)
 
     def to_complex(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.phase))

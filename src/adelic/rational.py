@@ -10,9 +10,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 
@@ -47,8 +46,9 @@ _RHO_STEP_LIMIT = 1 << 20
 _RHO_BATCH = 128
 
 
+@lru_cache(maxsize=8)
 def primes_up_to(n: int) -> tuple[int, ...]:
-    """The primes p <= n, ascending, by the sieve of Eratosthenes."""
+    """The primes p <= n, ascending, by the sieve of Eratosthenes; the last 8 bounds are cached."""
     sieve = bytearray([1]) * (n + 1)
     sieve[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(n) + 1):
@@ -256,7 +256,6 @@ class DigitExpansion:
     valuation: int
     digits: tuple[int, ...]
     prime: int
-    length: int
 
     def partial_sum(self) -> Fraction:
         """Exact value of the truncated series."""
@@ -288,4 +287,4 @@ def _digit_expansion(x: Fraction, p: int, n: int) -> DigitExpansion:
     for _ in range(n):
         residue, d = divmod(residue, p)
         digits.append(d)
-    return DigitExpansion(valuation=int(v), digits=tuple(digits), prime=p, length=n)
+    return DigitExpansion(valuation=int(v), digits=tuple(digits), prime=p)

@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, mul, neg, sub
 
-from .local import Place
+from .local import INFINITY_PLACE, Place
 from .rational import DomainError, primes_up_to
 
 _POLE_TOL = 1e-8
@@ -292,11 +292,11 @@ def zeta_adelic(a: complex) -> complex:
         and abs(a.real / 2 - round(a.real / 2)) < _POLE_TOL
     ):
         reflected = 1 - a
-        return zeta_local(reflected, Place.infinity()) * riemann_zeta(reflected)
+        return zeta_local(reflected, INFINITY_PLACE) * riemann_zeta(reflected)
     # zeta first: past its |Im a| range it raises DomainError, where the gamma
     # factor can overflow
     value = riemann_zeta(a)
-    return zeta_local(a, Place.infinity()) * value
+    return zeta_local(a, INFINITY_PLACE) * value
 
 
 _MELLIN_PRIME_BOUND = 100_000
@@ -319,13 +319,10 @@ def real_vacuum_moment(a: float) -> float:
     return 2.0 * val
 
 
-_primes_up_to = lru_cache(maxsize=8)(primes_up_to)
-
-
 @lru_cache(maxsize=8)
 def _moebius_up_to(n: int) -> tuple[int, ...]:
     mu = [1] * (n + 1)
-    primes = _primes_up_to(n)
+    primes = primes_up_to(n)
     for p in primes:
         for multiple in range(p, n + 1, p):
             mu[multiple] *= -1
@@ -367,7 +364,7 @@ def mellin_vacuum(a: float) -> MellinComparison:
     if a <= 1:
         raise DomainError("the vacuum Mellin transform requires a > 1")
     moment = real_vacuum_moment(a)
-    primes = _primes_up_to(_MELLIN_PRIME_BOUND)
+    primes = primes_up_to(_MELLIN_PRIME_BOUND)
     # int ** float rounds as float(p) ** float; reduce subtracts left to right
     powers = list(map(pow, primes, repeat(-a)))
     log_finite = reduce(sub, map(math.log1p, map(neg, powers)), 0.0)

@@ -42,12 +42,6 @@ class EighthRoot:
     def __mul__(self, other: "EighthRoot") -> "EighthRoot":
         return EighthRoot(self.k + other.k)
 
-    def inverse(self) -> "EighthRoot":
-        return EighthRoot(-self.k)
-
-    def as_root_of_unity(self) -> RootOfUnity:
-        return RootOfUnity(Fraction(self.k, 8))
-
     def to_complex(self) -> complex:
         return cmath.exp(1j * cmath.pi * self.k / 4)
 
@@ -112,9 +106,6 @@ class ExactFactor:
 
     def __mul__(self, other: "ExactFactor") -> "ExactFactor":
         return ExactFactor(self.root * other.root, self.mag2 * other.mag2, self.phase * other.phase)
-
-    def inverse(self) -> "ExactFactor":
-        return ExactFactor(self.root.inverse(), 1 / self.mag2, self.phase.inverse())
 
     def to_complex(self) -> complex:
         return self.root.to_complex() * math.sqrt(float(self.mag2)) * self.phase.to_complex()

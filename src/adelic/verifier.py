@@ -92,21 +92,6 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            family=data["family"],
-            args=tuple(data["args"]),
-            factors=tuple((f["place"], f["value"]) for f in data["factors"]),
-            verdict=data["verdict"],
-            residual=data.get("residual"),
-            diagnostic=data.get("diagnostic"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class SuiteReport:

@@ -232,10 +232,6 @@ class TestGroundState:
     def test_origin(self):
         assert math.isclose(ground_state(0).value, 2**0.25)
 
-    def test_custom_profile(self):
-        psi = ground_state(2, real_profile=lambda t: 1.0)
-        assert psi.value == 1.0
-
     def test_gate_matches_indicator_product(self):
         from adelic.local import integer_indicator
         from adelic.rational import support
