@@ -129,6 +129,17 @@ def _finite_prime(token: str, message: str) -> int:
     return place.prime
 
 
+def _tolerance(token: str) -> float:
+    """A --tol value: a float that is neither NaN nor negative."""
+    try:
+        tol = float(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {token!r}") from None
+    if not tol >= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be a nonnegative number, got {token!r}")
+    return tol
+
+
 def _cmd_digits(ns: argparse.Namespace) -> int:
     x = parse_rational(ns.x)
     p = _finite_prime(ns.prime, "digit expansions are defined at finite places only")
@@ -288,7 +299,7 @@ def commands() -> tuple[Command, ...]:
     Built anew for each parser, so that it holds the library functions bound
     at that time, a wrapper installed after import included.
     """
-    tol = ("--tol", {"type": float, "default": 1e-8})
+    tol = ("--tol", {"type": _tolerance, "default": 1e-8})
     x, place = ("x", RATIONAL), ("place", PLACE)
     return (
         Command("norm", "local absolute value |x|_v", (x, place), evaluate=local_abs, head="|{x}|"),

@@ -187,6 +187,13 @@ class OrbitProbe:
     pole_escape: bool
 
 
+# Cost guards of orbit_probe.  On an orbit whose height grows, the valuation of
+# each distance costs about its size squared, so the steps cost about their
+# count cubed; an orbit that reaches the bit cap has taken about half a second.
+_MAX_ORBIT_STEPS = 10_000
+_MAX_ORBIT_BITS = 4096
+
+
 def orbit_probe(
     f: MoebiusMap,
     x0: RationalLike,
@@ -194,7 +201,14 @@ def orbit_probe(
     steps: int,
     fixed_point: RationalLike,
 ) -> OrbitProbe:
-    """Iterate f exactly from x0, recording the local distance to the fixed point."""
+    """Iterate f exactly from x0, recording the local distance to the fixed point.
+
+    steps must lie in [0, _MAX_ORBIT_STEPS], and an orbit point whose
+    numerator and denominator have more than _MAX_ORBIT_BITS bits together
+    raises DomainError (cost guards).
+    """
+    if not 0 <= steps <= _MAX_ORBIT_STEPS:
+        raise DomainError(f"orbit steps must lie in [0, {_MAX_ORBIT_STEPS}], got {steps}")
     x_star = Fraction(fixed_point)
     if f.apply(x_star) != x_star:
         raise DomainError(f"{x_star} is not fixed by {f}")
@@ -206,6 +220,8 @@ def orbit_probe(
         x = f.apply(x)
         if x is AT_INFINITY:
             return OrbitProbe(tuple(entries), True)
+        if x.numerator.bit_length() + x.denominator.bit_length() > _MAX_ORBIT_BITS:
+            raise DomainError(f"orbit point {len(entries) + 1} exceeds {_MAX_ORBIT_BITS} bits (cost guard)")
         delta = x - x_star
         if place.is_infinite:
             entries.append(abs(delta))

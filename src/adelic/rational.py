@@ -224,6 +224,8 @@ def support(x: RationalLike) -> tuple[int, ...]:
 
 def random_rational(rng: random.Random, height: int, nonzero: bool = False) -> Fraction:
     """Seeded num/den with |num| <= height, 1 <= den <= height; nonzero redraws a zero num."""
+    if height < 1:
+        raise DomainError(f"height bound must be at least 1, got {height}")
     num = rng.randint(-height, height)
     while nonzero and num == 0:
         num = rng.randint(-height, height)
@@ -263,13 +265,21 @@ class DigitExpansion:
         return Fraction(self.prime) ** self.valuation * total
 
 
+# Each digit is one divmod of a residue of about n log2(p) bits, so n digits
+# cost about n**2 log2(p); at n log2(p) = _MAX_DIGIT_BITS, about half a second.
+_MAX_DIGIT_BITS = 1 << 16
+
+
 def digit_expansion(x: RationalLike, p: int, n: int) -> DigitExpansion:
     """First n canonical base-p digits of nonzero x.
 
     The unit part a/b (both prime to p) is resolved modulo p**n by multiplying
-    a with the inverse of b, then read off digit by digit.
+    a with the inverse of b, then read off digit by digit.  A request above
+    _MAX_DIGIT_BITS bits (n log2 p) raises DomainError as a cost guard.
     """
     require_prime(p)
+    if n * math.log2(p) > _MAX_DIGIT_BITS:
+        raise DomainError(f"{n} base-{p} digits exceed {_MAX_DIGIT_BITS} bits (cost guard)")
     return _digit_expansion(Fraction(x), p, n)
 
 

@@ -308,6 +308,8 @@ def real_vacuum_moment(a: float) -> float:
     Where the power x**(a-1) overflows a double at a quadrature node (from
     about a = 95.2 on), a DomainError names the double range.
     """
+    if not math.isfinite(a):
+        raise DomainError(f"moment integral requires a finite a, got {a}")
     if a <= 0:
         raise DomainError("moment integral requires a > 0")
     from .quadrature import quad_semi_infinite  # deferred: only the Mellin path integrates
@@ -361,6 +363,8 @@ def mellin_vacuum(a: float) -> MellinComparison:
     closed is sqrt(2) * gamma(a/2) * pi**(-a/2) * zeta(a).
     """
     a = float(a)
+    if not math.isfinite(a):
+        raise DomainError(f"the vacuum Mellin transform requires a finite a, got {a}")
     if a <= 1:
         raise DomainError("the vacuum Mellin transform requires a > 1")
     moment = real_vacuum_moment(a)

@@ -227,6 +227,8 @@ class Registry:
         self, name: str, trials: int, height_bound: int, seed: int, tol: float = 1e-8
     ) -> SuiteReport:
         fam = self.family(name)
+        if trials < 0:
+            raise DomainError(f"trial count must be nonnegative, got {trials}")
         rng = random.Random(seed)
         counts: dict[str, int] = {}
         failures: list[dict] = []

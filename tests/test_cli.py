@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import adelic
-from adelic.cli import main
+from adelic.cli import commands, main
 
 
 def run(capsys, *argv):
@@ -247,3 +248,81 @@ class TestDoubleRange:
         )
         assert result.returncode == 2 and result.stdout == ""
         assert "double range" in result.stderr and "Traceback" not in result.stderr
+
+
+def run_process(*argv, timeout):
+    """One fresh `python -m adelic.cli` process; an escaping exception shows as exit 1."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    package_root = str(Path(adelic.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "adelic.cli", *argv],
+        env=env, capture_output=True, encoding="utf-8", timeout=timeout,
+    )
+
+
+ORBIT = ("dynamics", "orbit", "2", "0", "1", "1/2", "--x0", "1/3", "--fixed-point", "0")
+
+
+class TestInputGuards:
+    """Inputs that used to hang, crash or pass: each exits 2 with an error line."""
+
+    @pytest.mark.parametrize("argv", [
+        # a height below 1 redrew randint(0, 0) forever or raised ValueError
+        *(("suite", f, "--height", "0") for f in (
+            "norm-product", "character-product", "lambda-product",
+            "hilbert-product", "gauss-product", "kernel-product",
+        )),
+        ("suite", "norm-product", "--height", "-1"),
+        # printed "-3 trials" and exited 0
+        ("suite", "norm-product", "--trials", "-3"),
+        # non-finite a came out as residual nan, a failed verification
+        ("mellin", "nan"),
+        ("mellin", "inf"),
+        ("mellin", "1e400"),
+        # a NaN tolerance failed every comparison
+        ("verify", "functional-equation", "2", "--tol", "nan"),
+        ("verify", "functional-equation", "2", "--tol", "-1"),
+        ("suite", "gamma-product", "--tol", "nan"),
+        ("mellin", "2", "--tol", "nan"),
+        # printed an empty orbit
+        (*ORBIT, "--steps", "-2"),
+    ])
+    def test_exits_2_without_traceback(self, argv):
+        result = run_process(*argv, timeout=30)
+        assert result.returncode == 2 and result.stdout == ""
+        assert "error: " in result.stderr.splitlines()[-1]
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        (*ORBIT, "--steps", "100000"),  # cubic in the steps: 23.8 s at 4000
+        ("digits", "1/3", "2", "100000"),  # quadratic in the digits
+    ])
+    def test_cost_guard_answers_within_a_second(self, capsys, argv):
+        result = run_process(*argv, timeout=30)
+        assert result.returncode == 2 and "Traceback" not in result.stderr
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert time.perf_counter() - start < 1.0
+
+
+def readme_commands() -> list[str]:
+    """The commands of README.md's CLI block, without the leading `adelic`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        " ".join(line.split("#", 1)[0].split()[1:])
+        for line in block.splitlines() if line.startswith("adelic ")
+    ]
+
+
+class TestReadme:
+    def test_cli_block_shows_every_subcommand(self):
+        documented = {cmd.split()[0] for cmd in readme_commands()}
+        assert documented == {c.name for c in commands()}
+
+    def test_cli_block_is_pinned_by_the_golden(self):
+        from test_cli_golden import CASES
+
+        assert set(readme_commands()) <= set(CASES)

@@ -23,7 +23,7 @@ from adelic.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
-# the commands documented in README.md
+# the commands README.md documented when the golden was first captured
 DOCUMENTED = (
     "verify norm-product 12",
     "verify gauss-product 3/4 2/5 --json",
@@ -63,8 +63,8 @@ SUBCOMMANDS = (
     "gamma", "beta", "zeta", "mellin", "wavefn", "dynamics", "verify", "suite",
 )
 
-# subcommands and argument kinds the documented commands leave out
-UNDOCUMENTED = (
+# subcommands and argument kinds those commands leave out
+MORE = (
     "frac 7/8 2",
     "frac 16/3 3 --json",
     "frac 0 5",
@@ -151,7 +151,7 @@ CASES = tuple(dict.fromkeys(
     + tuple(
         f"suite {f.split()[0]} --trials 20 --height 1000 --seed 7 --json" for f in FAMILIES
     )
-    + UNDOCUMENTED
+    + MORE
     + FAILURES
     + USAGE
 ))

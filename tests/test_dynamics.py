@@ -189,6 +189,18 @@ class TestOrbitProbe:
         with pytest.raises(DomainError):
             orbit_probe(WORKED, 2, P2, 3, 1)
 
+    @pytest.mark.parametrize("steps", [-2, 10_001, 10**5])
+    def test_step_count_outside_the_cap_rejected(self, steps):
+        with pytest.raises(DomainError, match="steps"):
+            orbit_probe(WORKED, Fraction(1, 3), P2, steps, 0)
+
+    def test_bit_cap(self):
+        # x -> 4**50 x: each point has 100 bits more than the one before
+        f = MoebiusMap(2**50, 0, 0, Fraction(1, 2**50))
+        assert len(orbit_probe(f, Fraction(1, 3), P2, 40, 0).entries) == 40
+        with pytest.raises(DomainError, match="cost guard"):
+            orbit_probe(f, Fraction(1, 3), P2, 50, 0)
+
     def test_pole_escape_reported(self):
         # start at the second preimage of the pole -1/2, so the orbit hits it
         x0 = WORKED.inverse().apply(Fraction(-1, 2))

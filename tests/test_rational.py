@@ -180,6 +180,12 @@ class TestDigits:
         with pytest.raises(DomainError):
             digit_expansion(0, 3, 2)
 
+    @pytest.mark.parametrize("p, n", [(2, 2**16 + 1), (3, 41_400), (18446744073709551557, 1025)])
+    def test_cost_guard(self, p, n):
+        # n log2(p) above 2**16 bits is refused before any digit is computed
+        with pytest.raises(DomainError, match="cost guard"):
+            digit_expansion(Fraction(1, 3), p, n)
+
     @given(nonzero_rationals, prime_st, st.integers(min_value=1, max_value=8))
     @settings(max_examples=120)
     def test_roundtrip_congruence(self, x, p, n):
@@ -231,6 +237,13 @@ class TestRandomRational:
             assert abs(x.numerator) <= height and x.denominator <= height
             assert x != 0 or not nonzero
         assert ours.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("height", [0, -1])
+    @pytest.mark.parametrize("nonzero", [False, True])
+    def test_height_below_one_rejected(self, height, nonzero):
+        # with nonzero, height 0 used to redraw randint(0, 0) forever
+        with pytest.raises(DomainError, match="height"):
+            random_rational(random.Random(5), height, nonzero=nonzero)
 
 
 class TestParseRational:

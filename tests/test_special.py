@@ -424,3 +424,11 @@ class TestMellin:
     def test_domain(self):
         with pytest.raises(DomainError):
             mellin_vacuum(1.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, a):
+        # NaN used to pass the a <= 1 check and come out as residual nan
+        with pytest.raises(DomainError, match="finite"):
+            mellin_vacuum(a)
+        with pytest.raises(DomainError, match="finite"):
+            real_vacuum_moment(a)

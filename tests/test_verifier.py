@@ -169,6 +169,10 @@ class TestReports:
         assert report.verdicts == (("ExactPass", 100),)
         assert report.failures == ()
 
+    def test_negative_trials_rejected(self, registry):
+        with pytest.raises(DomainError, match="trial"):
+            registry.random_suite("norm-product", -3, 10, seed=1)
+
     def test_numeric_suite(self, registry):
         report = registry.random_suite("functional-equation", 10, 10, seed=4)
         assert dict(report.verdicts) == {"NumericPass": 10}
