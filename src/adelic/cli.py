@@ -18,9 +18,8 @@ import dataclasses
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import dynamics as dyn
 from . import gauss, special
@@ -38,18 +37,18 @@ def _emit(ns: argparse.Namespace, payload: dict, text: str) -> None:
         print(text)
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """How a local-value argument is parsed, put in the JSON payload and labelled in text.
 
     The text label is str() of the parsed value, or with shows_token the
-    token as typed.  options are argparse keywords for the argument.
+    token as typed.  options are argparse keywords for the argument (the
+    default is shared and never mutated).
     """
 
     parse: Callable[[str], object]
     payload: Callable[[object], object] = str
     shows_token: bool = False
-    options: dict = field(default_factory=dict)
+    options: dict = {}
 
 
 def _adelic_or_place(token: str | None) -> str | Place:
@@ -103,8 +102,7 @@ def _cmd_local(ns: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand: its help line, its arguments in order, and what it runs.
 
     A local-value command gives the library function it evaluates and the head
