@@ -14,8 +14,6 @@ how it is parsed and shown, the type of the value how the result is shown.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import re
 import sys
 from fractions import Fraction
@@ -32,6 +30,8 @@ from .verifier import REGISTRY, parse_complex
 
 def _emit(ns: argparse.Namespace, payload: dict, text: str) -> None:
     if ns.json:
+        import json  # deferred: only --json output serializes
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -262,7 +262,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             place = parse_place(token)
             if str(place) not in shown:
                 extra.append((str(place), str(fam.factor(place, args))))
-        report = dataclasses.replace(report, factors=report.factors + tuple(extra))
+        report = report._replace(factors=report.factors + tuple(extra))
     if ns.json:
         print(report.to_json())
     else:

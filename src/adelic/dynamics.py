@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .local import INFINITY_PLACE, Place, local_abs
 from .rational import DomainError, RationalLike, _valuation, random_rational, support
@@ -85,14 +86,12 @@ class MoebiusMap:
         return f"({self.a}x + {self.b})/({self.c}x + {self.d})"
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     point: PointLike
     multiplier: Fraction
 
 
-@dataclass(frozen=True)
-class FixedPointSolve:
+class FixedPointSolve(NamedTuple):
     points: tuple[FixedPoint, ...]
     irrational_discriminant: Fraction | None
 
@@ -128,8 +127,7 @@ def fixed_points(f: MoebiusMap) -> FixedPointSolve:
     return FixedPointSolve(tuple(pts), None)
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     point: PointLike
     multiplier: Fraction
     per_place: tuple[tuple[Place, str], ...]
@@ -142,8 +140,7 @@ class FixedPointReport:
         return INDIFFERENT
 
 
-@dataclass(frozen=True)
-class DynamicsReport:
+class DynamicsReport(NamedTuple):
     reports: tuple[FixedPointReport, ...]
     irrational_discriminant: Fraction | None
 
@@ -174,8 +171,7 @@ def classify(f: MoebiusMap) -> DynamicsReport:
     return DynamicsReport(tuple(reports), solve.irrational_discriminant)
 
 
-@dataclass(frozen=True)
-class OrbitProbe:
+class OrbitProbe(NamedTuple):
     """Distances to a fixed point along an exact orbit.
 
     At a finite place the entries are valuations of x_k - x*; at the

@@ -13,8 +13,8 @@ ball-sum oracle provides the independent numerical route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .local import (
     Place,
@@ -31,8 +31,7 @@ from .symbols import EighthRoot, ExactFactor, weil_index
 _MAX_ORACLE_MODULUS = 1 << 20
 
 
-@dataclass(frozen=True)
-class GaussFactor:
+class GaussFactor(NamedTuple):
     """Exact local value root * mag_base**(-1/2) * phase.
 
     mag_base is |2a| for a Gauss integral and |4T| for a propagator kernel.
@@ -199,8 +198,7 @@ def free_gauss_parameters(
     return a, b
 
 
-@dataclass(frozen=True)
-class WaveFunctionValue:
+class WaveFunctionValue(NamedTuple):
     """Ground-state value: real profile gated by the p-adic integrality indicator."""
 
     real_factor: float

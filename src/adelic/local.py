@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .rational import (
     DomainError,
@@ -174,8 +174,7 @@ def integer_indicator(x: RationalLike, p: int) -> int:
     return 1 if _valuation(x, p) >= 0 else 0
 
 
-@dataclass(frozen=True)
-class AdeleCheck:
+class AdeleCheck(NamedTuple):
     valid: bool
     violations: tuple[int, ...]
 

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -190,18 +189,39 @@ def _valuation(x: Fraction, p: int) -> int | float:
     # valuation for a prime the caller has already checked
     if x == 0:
         return INFINITE
-    v = 0
     num = x.numerator
-    while num % p == 0:
-        num //= p
-        v += 1
-    if v:
-        return v
+    if num % p == 0:
+        return _multiplicity(num, p)
     den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    if den % p == 0:
+        return -_multiplicity(den, p)
+    return 0
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """The largest e with p**e dividing n, for n a nonzero multiple of p.
+
+    Divides by p, p**2, p**4, ... while they divide, then by the same powers
+    in reverse wherever they still do: O(log e) divisions, where one division
+    per factor p would take e divisions of an integer the size of n.
+    """
+    n //= p
+    e = 1
+    powers = [p]
+    while True:
+        q, r = divmod(n, powers[-1])
+        if r:
+            break
+        n = q
+        e += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    # the multiplicity left is below the last power, which did not divide
+    for k in range(len(powers) - 2, -1, -1):
+        q, r = divmod(n, powers[k])
+        if not r:
+            n = q
+            e += 1 << k
+    return e
 
 
 def unit_part(x: RationalLike, p: int) -> Fraction:
@@ -247,8 +267,7 @@ def parse_rational(token: str) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(NamedTuple):
     """Leading digits of the canonical base-p series of a nonzero rational.
 
     The represented value is p**valuation * sum(digits[k] * p**k); the leading
@@ -280,11 +299,7 @@ def digit_expansion(x: RationalLike, p: int, n: int) -> DigitExpansion:
     require_prime(p)
     if n * math.log2(p) > _MAX_DIGIT_BITS:
         raise DomainError(f"{n} base-{p} digits exceed {_MAX_DIGIT_BITS} bits (cost guard)")
-    return _digit_expansion(Fraction(x), p, n)
-
-
-def _digit_expansion(x: Fraction, p: int, n: int) -> DigitExpansion:
-    # digit_expansion for a prime the caller has already checked
+    x = Fraction(x)
     if x == 0:
         raise DomainError("0 has no canonical digit expansion")
     if n < 1:

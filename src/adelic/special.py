@@ -11,10 +11,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, mul, neg, sub
+from typing import NamedTuple
 
 from .local import INFINITY_PLACE, Place
 from .rational import DomainError, primes_up_to
@@ -196,8 +196,7 @@ def beta_local(a: complex, b: complex, place: Place) -> complex:
     return values[0] * values[1] * values[2]
 
 
-@dataclass(frozen=True)
-class GammaProductReport:
+class GammaProductReport(NamedTuple):
     """Regularized gamma product at u with diagnostics.
 
     The product over finite places is regularized to zeta(u)/zeta(1-u); at
@@ -242,8 +241,7 @@ def verify_gamma_product(u: complex) -> GammaProductReport:
     return GammaProductReport(u, residual, gamma_inf, regularized, False, raw * gamma_inf, _RAW_BOUND)
 
 
-@dataclass(frozen=True)
-class BetaProductReport:
+class BetaProductReport(NamedTuple):
     a: complex
     b: complex
     c: complex
@@ -346,8 +344,7 @@ def _prime_zeta(s: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class MellinComparison:
+class MellinComparison(NamedTuple):
     numeric: float
     closed: float
     residual: float

@@ -16,7 +16,6 @@ from .local import Place, RootOfUnity
 from .rational import (
     DomainError,
     RationalLike,
-    _digit_expansion,
     _valuation,
     require_prime,
 )
@@ -207,13 +206,12 @@ def weil_index(x: RationalLike, place: Place) -> EighthRoot:
     if p != 2:
         if v % 2 == 0:
             return EighthRoot.one()
-        exp = _digit_expansion(x, p, 1)
         k = 0 if p % 4 == 1 else 2
-        if _legendre(exp.digits[0], p) == -1:
+        if _legendre_of_unit(x / Fraction(p) ** v, p) == -1:
             k += 4
         return EighthRoot(k)
-    exp = _digit_expansion(x, 2, 3)
-    x1, x2 = exp.digits[1], exp.digits[2]
+    # the unit part is 1 + 2 x1 + 4 x2 modulo 8, with x1, x2 its second and third digits
+    u8 = _unit_mod8(x / Fraction(2) ** v)
     if v % 2 == 0:
-        return EighthRoot(1 - 2 * x1)
-    return EighthRoot(1 + 2 * x1 + 4 * x2)
+        return EighthRoot(1 - (u8 & 2))
+    return EighthRoot(u8)

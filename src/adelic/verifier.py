@@ -10,13 +10,12 @@ unsound place set surfaces as a failure instead of a silent wrong answer.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import gauss, special
 from .local import Place, additive_character, local_abs, places_for
@@ -49,8 +48,7 @@ def _format_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-@dataclass(frozen=True)
-class NumericEvaluation:
+class NumericEvaluation(NamedTuple):
     factors: tuple[tuple[str, str], ...]
     residual: float
 
@@ -70,8 +68,7 @@ class ProductFamily:
     evaluate: Callable[[tuple], NumericEvaluation] | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     family: str
     args: tuple[str, ...]
     factors: tuple[tuple[str, str], ...]
@@ -90,11 +87,12 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json  # deferred: only --json output serializes
+
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     family: str
     trials: int
     height_bound: int
@@ -118,6 +116,8 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
+        import json  # deferred: only --json output serializes
+
         return json.dumps(self.to_dict(), sort_keys=True)
 
 

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from adelic.rational import valuation
+from adelic.rational import digit_expansion, valuation
 from adelic.special import PoleError, complex_gamma
 
 
@@ -72,6 +72,29 @@ def hilbert_solvable(x: Fraction, y: Fraction, p: int, k: int | None = None) -> 
         if (1 - xr * s) % m in y_squares:
             return True
     return False
+
+
+def weil_index_by_digits(x: Fraction, p: int) -> int:
+    """Exponent k mod 8 of the Weil index exp(i*pi*k/4) of nonzero x at a prime p.
+
+    Read off the canonical base-p digits: at odd p, 1 for even valuation and
+    otherwise the Gauss-sum phase (k = 0 for p = 1 mod 4, 2 for p = 3 mod 4)
+    plus 4 when the leading digit is a non-residue, found among the squares
+    mod p; at p = 2, with x1, x2 the second and third digits, k = 1 - 2 x1
+    for even valuation and 1 + 2 x1 + 4 x2 for odd.
+    """
+    if p != 2:
+        exp = digit_expansion(x, p, 1)
+        if exp.valuation % 2 == 0:
+            return 0
+        k = 0 if p % 4 == 1 else 2
+        squares, _ = _squares_mod(p)
+        return k if exp.digits[0] in squares else k + 4
+    exp = digit_expansion(x, 2, 3)
+    x1, x2 = exp.digits[1], exp.digits[2]
+    if exp.valuation % 2 == 0:
+        return (1 - 2 * x1) % 8
+    return (1 + 2 * x1 + 4 * x2) % 8
 
 
 def zeta_shell_sum(a: float, p: int, tol: float = 1e-12) -> float:

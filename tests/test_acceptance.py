@@ -15,11 +15,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import adelic
 from adelic.cli import main as cli_main
 from adelic.dynamics import (
     MoebiusMap,
     classify,
+    fixed_points,
+    orbit_probe,
     random_map_with_rational_fixed_points,
 )
 from adelic.gauss import (
@@ -34,6 +38,7 @@ from adelic.gauss import (
 )
 from adelic.local import (
     INFINITY_PLACE,
+    FiniteAdele,
     Place,
     additive_character,
     frac_part,
@@ -41,7 +46,7 @@ from adelic.local import (
     local_abs,
     parse_place,
 )
-from adelic.rational import DomainError, support, valuation
+from adelic.rational import DomainError, digit_expansion, support, valuation
 from adelic.special import (
     gamma_local,
     mellin_vacuum,
@@ -402,8 +407,8 @@ def _run_python(args: list[str]) -> subprocess.CompletedProcess:
 
 
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
-loaded = lambda: sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+import contextlib, io, sys
+loaded = lambda: sorted(m for m in ("json", "numpy", "scipy") if m in sys.modules)
 stages = {}
 import adelic
 stages["import adelic"] = loaded()
@@ -413,19 +418,23 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [adelic.cli.main(argv) for argv in (
         ["verify", "norm-product", "12"], ["gauss", "1", "0", "2"], ["wavefn", "1/2"])]
 stages["three commands"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(adelic.cli.main(["verify", "norm-product", "12", "--json"]))
+stages["verify --json"] = loaded()
 residual = adelic.mellin_vacuum(2.0).residual
 stages["mellin_vacuum"] = loaded()
 fourier = adelic.gaussian_fourier_residual(1.0)
 stages["gaussian_fourier_residual"] = loaded()
 oracle = abs(adelic.padic_gauss_oracle(3, 0, 2, 3) - (1 - 1j))
 stages["padic_gauss_oracle"] = loaded()
+import json
 print(json.dumps({"stages": stages, "codes": codes, "residual": residual,
                   "fourier": fourier, "oracle": oracle}))
 """
 
 
 def test_scipy_and_numpy_load_only_where_used():
-    with criterion("no command or library function loads scipy or numpy"):
+    with criterion("no command or library function loads scipy or numpy; only --json loads json"):
         result = _run_python(["-c", _IMPORT_PROBE])
         assert result.returncode == 0, result.stderr
         probe = json.loads(result.stdout)
@@ -434,14 +443,49 @@ def test_scipy_and_numpy_load_only_where_used():
             "import adelic": [],
             "import adelic.cli": [],
             "three commands": [],
-            "mellin_vacuum": [],
-            "gaussian_fourier_residual": [],
-            "padic_gauss_oracle": [],
+            "verify --json": ["json"],
+            "mellin_vacuum": ["json"],
+            "gaussian_fourier_residual": ["json"],
+            "padic_gauss_oracle": ["json"],
         }
-        assert probe["codes"] == [0, 0, 0]
+        assert probe["codes"] == [0, 0, 0, 0]
         assert probe["residual"] <= 1e-8
         assert probe["fourier"] < 1e-8
         assert probe["oracle"] < 1e-9
+
+
+def _plain_records():
+    """One instance of every record that only holds fields, made by the library."""
+    f = MoebiusMap(2, 0, 0, Fraction(1, 2))
+    solve = fixed_points(f)
+    report = classify(f)
+    return (
+        digit_expansion(Fraction(7, 8), 2, 3),
+        FiniteAdele.principal(Fraction(1, 2)).is_valid(),
+        gauss_factor(1, 0, Place.finite(2)),
+        ground_state(Fraction(1, 2)),
+        verify_gamma_product(2),
+        verify_beta_product(0.25, 0.5),
+        mellin_vacuum(2.0),
+        REGISTRY.family("gamma-product").evaluate((2,)),
+        verify_lambda_product(3),
+        REGISTRY.random_suite("norm-product", 2, 10, 1),
+        solve.points[0],
+        solve,
+        report.reports[0],
+        report,
+        orbit_probe(f, Fraction(1, 3), Place.finite(2), 3, 0),
+    )
+
+
+def test_plain_records_are_immutable():
+    with criterion("no field of a plain record can be assigned"):
+        records = _plain_records()
+        assert len({type(r) for r in records}) == 15
+        for record in records:
+            for name in type(record)._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
 
 
 def test_cli_cold_start():

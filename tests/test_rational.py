@@ -137,6 +137,14 @@ class TestValuation:
         with pytest.raises(DomainError):
             valuation(10, 6)
 
+    @pytest.mark.parametrize("unit, p, v", [(3, 2, 200_000), (7, 5, -50_000)])
+    def test_high_valuation_is_cheap(self, unit, p, v):
+        # stripping p by repeated squaring: O(log v) divisions, not v
+        x = unit * Fraction(p) ** v
+        start = time.perf_counter()
+        assert valuation(x, p) == v
+        assert time.perf_counter() - start < 0.1
+
     @given(nonzero_rationals, nonzero_rationals, prime_st)
     @settings(max_examples=120)
     def test_multiplicative(self, x, y, p):

@@ -16,7 +16,7 @@ from adelic.symbols import (
 )
 from adelic.verifier import verify_hilbert_product, verify_lambda_product
 
-from oracles import hilbert_solvable, legendre_table
+from oracles import hilbert_solvable, legendre_table, weil_index_by_digits
 
 P2, P3, P5, P7 = (Place.finite(p) for p in (2, 3, 5, 7))
 
@@ -140,6 +140,17 @@ class TestWeilIndex:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             weil_index(0, P3)
+
+    def test_matches_the_digit_formula(self):
+        # 10,000 seeded rationals, each at every prime below with a valuation
+        # in [-3, 3], so both parities of the valuation are covered
+        rng = random.Random(8)
+        places = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13, 97)]
+        for _ in range(10_000):
+            r = _rand_nonzero(rng, 10**6)
+            for v in places:
+                x = r * Fraction(v.prime) ** rng.randint(-3, 3)
+                assert weil_index(x, v).k == weil_index_by_digits(x, v.prime), (x, v.prime)
 
     @given(nonzero_rationals, nonzero_rationals)
     @settings(max_examples=150)
