@@ -201,27 +201,25 @@ def _valuation(x: Fraction, p: int) -> int | float:
 def _multiplicity(n: int, p: int) -> int:
     """The largest e with p**e dividing n, for n a nonzero multiple of p.
 
-    Divides by p, p**2, p**4, ... while they divide, then by the same powers
-    in reverse wherever they still do: O(log e) divisions, where one division
-    per factor p would take e divisions of an integer the size of n.
+    After each factor p, divides by p**2, p**4, ... while they divide, then
+    starts again from p: O(log(e)**2) divisions, where one division per
+    factor would take e divisions of an integer the size of n.  A small e
+    costs about what the one-factor loop costs.
     """
-    n //= p
-    e = 1
-    powers = [p]
+    e = 0
     while True:
-        q, r = divmod(n, powers[-1])
-        if r:
-            break
-        n = q
-        e += 1 << (len(powers) - 1)
-        powers.append(powers[-1] * powers[-1])
-    # the multiplicity left is below the last power, which did not divide
-    for k in range(len(powers) - 2, -1, -1):
-        q, r = divmod(n, powers[k])
-        if not r:
-            n = q
-            e += 1 << k
-    return e
+        n //= p
+        e += 1
+        q, k = p * p, 2
+        m, r = divmod(n, q)
+        while not r:
+            n = m
+            e += k
+            q *= q
+            k += k
+            m, r = divmod(n, q)
+        if n % p:
+            return e
 
 
 def unit_part(x: RationalLike, p: int) -> Fraction:
