@@ -77,11 +77,11 @@ def hilbert_solvable(x: Fraction, y: Fraction, p: int, k: int | None = None) -> 
 def weil_index_by_digits(x: Fraction, p: int) -> int:
     """Exponent k mod 8 of the Weil index exp(i*pi*k/4) of nonzero x at a prime p.
 
-    Read off the canonical base-p digits: at odd p, 1 for even valuation and
-    otherwise the Gauss-sum phase (k = 0 for p = 1 mod 4, 2 for p = 3 mod 4)
-    plus 4 when the leading digit is a non-residue, found among the squares
-    mod p; at p = 2, with x1, x2 the second and third digits, k = 1 - 2 x1
-    for even valuation and 1 + 2 x1 + 4 x2 for odd.
+    Read off the canonical base-p digits: at odd p, k = 0 for even valuation
+    and otherwise the Gauss-sum phase (k = 0 for p = 1 mod 4, 2 for p = 3
+    mod 4) plus 4 when the leading digit is a non-residue, found among the
+    squares mod p; at p = 2, with x1, x2 the second and third digits,
+    k = 1 - 2 x1 for even valuation and 1 + 2 x1 + 4 x2 for odd.
     """
     if p != 2:
         exp = digit_expansion(x, p, 1)

@@ -127,6 +127,19 @@ class TestFactorize:
         assert all(is_prime(p) for p in f)
 
 
+def valuation_by_single_factors(x, p):
+    """Reference valuation of nonzero x: divide out one factor p at a time."""
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
 class TestValuation:
     def test_examples(self):
         assert valuation(12, 2) == 2
@@ -136,6 +149,13 @@ class TestValuation:
     def test_nonprime_rejected(self):
         with pytest.raises(DomainError):
             valuation(10, 6)
+
+    def test_matches_single_factor_division(self):
+        rng = random.Random(11)
+        for _ in range(5_000):
+            p = rng.choice((2, 3, 5, 7, 97))
+            x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * Fraction(p) ** rng.randint(-300, 300)
+            assert valuation(x, p) == valuation_by_single_factors(x, p), (x, p)
 
     @pytest.mark.parametrize("unit, p, v", [(3, 2, 200_000), (7, 5, -50_000)])
     def test_high_valuation_is_cheap(self, unit, p, v):
