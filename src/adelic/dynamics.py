@@ -159,12 +159,21 @@ def classify(f: MoebiusMap) -> DynamicsReport:
     Places off the archimedean one and the support of the multiplier are
     indifferent automatically, so the exceptional set is finite; with no
     rational fixed point the report is empty and carries the discriminant.
+
+    The multipliers of two fixed points are reciprocal: at the fixed points
+    of a determinant-one map (c x1 + d)(c x2 + d) = a d - b c = 1, and the
+    multiplier at x is (c x + d)**-2; with c = 0 they are d/a and a/d.  So
+    the first multiplier is factored and its places serve the second too.
     """
     solve = fixed_points(f)
     reports = []
+    places = None
     for fp in solve.points:
         m = fp.multiplier
-        places = [INFINITY_PLACE] + [Place.finite(p) for p in (support(m) if m != 1 else ())]
+        if places is None:
+            places = (INFINITY_PLACE,) + tuple(
+                Place._proven(p) for p in (support(m) if m != 1 else ())
+            )
         table = tuple((v, _classify_norm(local_abs(m, v))) for v in places)
         exceptional = tuple(v for v, label in table if label != INDIFFERENT)
         reports.append(FixedPointReport(fp.point, m, table, exceptional))

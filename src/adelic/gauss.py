@@ -137,6 +137,26 @@ def kernel_phase_argument(
     )
 
 
+# (arguments, value) of the last phase argument that kernel or kernel_places
+# computed: one verification asks for it at every place with the same
+# arguments.  One tuple, read once, so a thread race cannot pair one call's
+# arguments with another call's value.
+_last_phase: tuple[tuple, Fraction] = ((), Fraction(0))
+
+
+def _phase_argument(
+    x_out: RationalLike, x_in: RationalLike, accel: RationalLike, duration: RationalLike
+) -> Fraction:
+    # kernel_phase_argument, remembered for the last arguments
+    global _last_phase
+    key = (x_out, x_in, accel, duration)
+    last_key, value = _last_phase
+    if key != last_key:
+        value = kernel_phase_argument(x_out, x_in, accel, duration)
+        _last_phase = (key, value)
+    return value
+
+
 def kernel(
     x_out: RationalLike,
     x_in: RationalLike,
@@ -155,7 +175,7 @@ def kernel(
     return GaussFactor(
         root=weil_index(-8 * T, place),
         mag_base=local_abs(4 * T, place),
-        phase=additive_character(kernel_phase_argument(x_out, x_in, accel, T), place),
+        phase=additive_character(_phase_argument(x_out, x_in, accel, duration), place),
     )
 
 
@@ -175,7 +195,7 @@ def kernel_places(
     T = Fraction(duration)
     if T == 0:
         raise DomainError("propagation time must be nonzero")
-    den = kernel_phase_argument(x_out, x_in, accel, T).denominator
+    den = _phase_argument(x_out, x_in, accel, duration).denominator
     candidates = denominator_places(x_out, x_in, accel) | {3}
     extra = tuple(p for p in candidates if den % p == 0)
     return places_for(T, always=(2,) + extra)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .rational import (
+    _PRIME_LIMIT,
     DomainError,
     RationalLike,
     _valuation,
@@ -27,7 +28,9 @@ class Place:
     """The archimedean place (prime=None) or a finite place at a prime.
 
     The prime is checked here, once; functions that receive a Place use it
-    without checking again.
+    without checking again.  A prime that factorize has just proven skips
+    the check (``_proven``).  Every Place lies below 2**64, the range of
+    is_prime.
     """
 
     prime: int | None
@@ -39,6 +42,16 @@ class Place:
     @classmethod
     def finite(cls, p: int) -> "Place":
         return cls(p)
+
+    @classmethod
+    def _proven(cls, p: int) -> "Place":
+        # a prime factorize has proven: no Miller-Rabin, but the same 2**64
+        # bound, whose DomainError the checked constructor raises
+        if p >= _PRIME_LIMIT:
+            return cls.finite(p)
+        place = object.__new__(cls)
+        object.__setattr__(place, "prime", p)
+        return place
 
     @property
     def is_infinite(self) -> bool:
@@ -63,13 +76,20 @@ def parse_place(token: str) -> Place:
 
 
 def places_for(*rationals: RationalLike, always: tuple[int, ...] = ()) -> tuple[Place, ...]:
-    """Archimedean place plus the union of supports of the nonzero arguments."""
-    primes = set(always)
+    """Archimedean place plus the union of supports of the nonzero arguments.
+
+    The support primes come from factorize, which has proven them, so their
+    places skip the primality check; the primes in ``always`` are checked.
+    """
+    proven: set[int] = set()
     for x in rationals:
         x = Fraction(x)
         if x != 0:
-            primes.update(support(x))
-    return (INFINITY_PLACE,) + tuple(Place.finite(p) for p in sorted(primes))
+            proven.update(support(x))
+    return (INFINITY_PLACE,) + tuple(
+        Place._proven(p) if p in proven else Place.finite(p)
+        for p in sorted(proven.union(always))
+    )
 
 
 def denominator_places(*rationals: RationalLike) -> set[int]:

@@ -3,8 +3,9 @@
 These deliberately avoid the library's closed forms: quadratic residues by
 exhaustive squaring, Hilbert symbols by searching for solutions of the
 ternary quadratic modulo prime powers, local zeta factors by shell sums.
-The one exception is zeta_exact_weights, a bit-for-bit reference for the
-library's zeta series rather than an independent oracle.
+Two exceptions are references for faster library code rather than
+independent oracles: zeta_exact_weights, bit for bit for the zeta series,
+and digits_by_division, digit for digit for digit_expansion.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from adelic.rational import digit_expansion, valuation
+from adelic.rational import DigitExpansion, digit_expansion, valuation
 from adelic.special import PoleError, complex_gamma
 
 
@@ -95,6 +96,24 @@ def weil_index_by_digits(x: Fraction, p: int) -> int:
     if exp.valuation % 2 == 0:
         return (1 - 2 * x1) % 8
     return (1 + 2 * x1 + 4 * x2) % 8
+
+
+def digits_by_division(x: Fraction, p: int, n: int) -> DigitExpansion:
+    """digit_expansion by n divmods of the whole residue, one per digit.
+
+    The library's loop before it split the residue; quadratic in n, so keep
+    n log2 p to a few thousand bits.
+    """
+    x = Fraction(x)
+    v = int(valuation(x, p))
+    u = x / Fraction(p) ** v
+    modulus = p**n
+    residue = u.numerator * pow(u.denominator, -1, modulus) % modulus
+    digits = []
+    for _ in range(n):
+        residue, d = divmod(residue, p)
+        digits.append(d)
+    return DigitExpansion(valuation=v, digits=tuple(digits), prime=p)
 
 
 def zeta_shell_sum(a: float, p: int, tol: float = 1e-12) -> float:

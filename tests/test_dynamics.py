@@ -8,6 +8,8 @@ from adelic.dynamics import (
     ATTRACTIVE,
     INDIFFERENT,
     REPELLING,
+    DynamicsReport,
+    FixedPointReport,
     MoebiusMap,
     classify,
     fixed_points,
@@ -16,7 +18,7 @@ from adelic.dynamics import (
     random_map_with_rational_fixed_points,
 )
 from adelic.local import INFINITY_PLACE, Place, local_abs
-from adelic.rational import DomainError, support, valuation
+from adelic.rational import DomainError, random_rational, support, valuation
 
 P2, P3, P5 = (Place.finite(p) for p in (2, 3, 5))
 
@@ -82,18 +84,67 @@ class TestFixedPoints:
         assert table[Fraction(-2, 3)] == Fraction(4)
 
     def test_multipliers_multiply_to_one(self):
+        # classify reuses the first multiplier's places for the second
         rng = random.Random(2)
-        seen = 0
-        while seen < 100:
-            f = random_map_with_rational_fixed_points(rng, 8)
-            pts = fixed_points(f).points
-            if len(pts) != 2:
-                continue
-            assert pts[0].multiplier * pts[1].multiplier == 1
-            seen += 1
+        for height in (8, 10, 10**3, 10**6):
+            seen = 0
+            while seen < 100:
+                f = random_map_with_rational_fixed_points(rng, height)
+                pts = fixed_points(f).points
+                if len(pts) != 2:
+                    continue
+                assert pts[0].multiplier * pts[1].multiplier == 1
+                seen += 1
+            for _ in range(50):
+                f = _affine_map(rng, height)
+                pts = fixed_points(f).points
+                assert len(pts) == 2
+                assert pts[0].multiplier * pts[1].multiplier == 1
+
+
+def _affine_map(rng, height):
+    # a determinant-one map with c = 0 and a != d: fixes infinity and one finite point
+    b = random_rational(rng, height)
+    while True:
+        a = random_rational(rng, height, nonzero=True)
+        if a * a != 1:
+            return MoebiusMap(a, b, 0, 1 / a)
+
+
+def _classify_factoring_each(f):
+    # classify as it read before sharing places: factor every multiplier
+    solve = fixed_points(f)
+    reports = []
+    for fp in solve.points:
+        m = fp.multiplier
+        places = [INFINITY_PLACE] + [Place.finite(p) for p in (support(m) if m != 1 else ())]
+        table = []
+        for v in places:
+            norm = local_abs(m, v)
+            label = ATTRACTIVE if norm < 1 else REPELLING if norm > 1 else INDIFFERENT
+            table.append((v, label))
+        exceptional = tuple(v for v, label in table if label != INDIFFERENT)
+        reports.append(FixedPointReport(fp.point, m, tuple(table), exceptional))
+    return DynamicsReport(tuple(reports), solve.irrational_discriminant)
 
 
 class TestClassify:
+    def test_equals_factoring_each_multiplier(self):
+        rng = random.Random(5)
+        kinds = {"parabolic": 0, "c = 0": 0, "two points": 0}
+        for height in (10, 10**3, 10**6):
+            maps = [random_map_with_rational_fixed_points(rng, height) for _ in range(300)]
+            maps += [_affine_map(rng, height) for _ in range(40)]
+            for f in maps:
+                report = classify(f)
+                assert report == _classify_factoring_each(f)
+                multipliers = [r.multiplier for r in report.reports]
+                if multipliers == [1]:
+                    kinds["parabolic"] += 1
+                elif len(multipliers) == 2:
+                    kinds["c = 0" if f.c == 0 else "two points"] += 1
+        assert sum(kinds.values()) == 3 * 340
+        assert kinds["parabolic"] >= 50 and kinds["c = 0"] >= 120
     def test_worked_map_repelling_origin(self):
         report = classify(WORKED)
         by_point = {r.point: r for r in report.reports}

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from adelic import gauss
 from adelic.gauss import (
     GaussFactor,
     KernelValue,
@@ -20,7 +21,7 @@ from adelic.gauss import (
 )
 from adelic.local import INFINITY_PLACE, Place, additive_character, local_abs, parse_place
 from adelic.rational import DomainError, factorize, valuation
-from adelic.symbols import EighthRoot, ExactFactor
+from adelic.symbols import EighthRoot, ExactFactor, weil_index
 from adelic.verifier import verify_gauss_product, verify_kernel_product
 
 P2, P3, P5, P7 = (Place.finite(p) for p in (2, 3, 5, 7))
@@ -197,6 +198,53 @@ class TestKernel:
             places = kernel_places(x2, x1, lam, T)
             assert places[0] == INFINITY_PLACE
             assert [v.prime for v in places[1:]] == sorted(expected)
+
+    def test_verification_computes_the_phase_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel_phase_argument(*args)
+
+        monkeypatch.setattr(gauss, "kernel_phase_argument", counting)
+        monkeypatch.setattr(gauss, "_last_phase", ((), Fraction(0)))
+        args = (Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3, 5))
+        report = verify_kernel_product(*args)
+        assert report.verdict == "ExactPass"
+        assert len(report.factors) > 1
+        assert calls == [args]
+
+    def test_reports_equal_an_uncached_reference(self, monkeypatch):
+        rng = random.Random(19)
+        argsets = []
+        for _ in range(300):
+            height = rng.choice((10, 1000, 10**6))
+            x2, x1, lam = (_rand_rational(rng, height) for _ in range(3))
+            argsets.append((x2, x1, lam, _rand_rational(rng, height, nonzero=True)))
+        for args in argsets:
+            T = args[3]
+            den = kernel_phase_argument(*args).denominator
+            primes = {2} | set(factorize(T.numerator)) | set(factorize(T.denominator))
+            primes |= set(factorize(den))
+            expected = []
+            for v in (INFINITY_PLACE,) + tuple(Place.finite(p) for p in sorted(primes)):
+                factor = GaussFactor(
+                    weil_index(-8 * T, v),
+                    local_abs(4 * T, v),
+                    additive_character(kernel_phase_argument(*args), v),
+                )
+                expected.append((str(v), str(factor.exact())))
+            report = verify_kernel_product(*args)
+            assert report.verdict == "ExactPass"
+            assert report.factors == tuple(expected)
+
+        def fresh(args):
+            monkeypatch.setattr(gauss, "_last_phase", ((), Fraction(0)))
+            return verify_kernel_product(*args)
+
+        # A, then B, then A again: each report is what a fresh run gives
+        for a, b in zip(argsets[:100], argsets[100:200]):
+            assert [verify_kernel_product(*x) for x in (a, b, a)] == [fresh(x) for x in (a, b, a)]
 
     def test_zero_acceleration_reduces_to_gauss_factors(self):
         rng = random.Random(13)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from adelic.local import (
     integer_indicator,
     local_abs,
     parse_place,
+    places_for,
 )
+from adelic import rational
 from adelic.gauss import padic_gauss_oracle
-from adelic.rational import DomainError, digit_expansion, support, unit_part, valuation
+from adelic.rational import DomainError, digit_expansion, is_prime, support, unit_part, valuation
 from adelic.symbols import legendre_symbol
 
 P2, P3, P5, P7 = (Place.finite(p) for p in (2, 3, 5, 7))
@@ -49,6 +52,42 @@ class TestPlace:
         for build in (Place, Place.finite, lambda k: parse_place(str(k))):
             with pytest.raises(DomainError):
                 build(n)
+
+
+class TestPlacesFor:
+    """Support primes come proven from factorize; places_for does not test them again."""
+
+    def test_support_places_skip_the_primality_test(self, monkeypatch):
+        rng = random.Random(23)
+        cases = [Fraction(41 * 43, 47 * 1_000_003), Fraction(2**61 - 1, 3)]
+        while len(cases) < 60:
+            x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            if x and max(support(x), default=0) > 37:
+                cases.append(x)
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(rational, "is_prime", counting_is_prime)
+        built = [places_for(x) for x in cases]
+        assert calls == []
+        monkeypatch.undo()
+        for x, places in zip(cases, built):
+            assert places == (INFINITY_PLACE,) + tuple(Place.finite(p) for p in support(x))
+
+    def test_caller_primes_are_checked(self):
+        with pytest.raises(DomainError, match="4 is not prime"):
+            places_for(Fraction(41, 43), always=(4,))
+        assert places_for(Fraction(41, 43), always=(3,)) == (
+            INFINITY_PLACE, P3, Place.finite(41), Place.finite(43)
+        )
+
+    def test_no_place_past_2_64(self):
+        # 2**64 + 13 is prime and factorize proves it, but a Place stays below 2**64
+        with pytest.raises(DomainError, match="64-bit"):
+            places_for(2**64 + 13)
 
 
 class TestPublicEntryPointsCheckThePrime:

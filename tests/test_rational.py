@@ -19,6 +19,7 @@ from adelic.rational import (
     unit_part,
     valuation,
 )
+from oracles import digits_by_division
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -213,6 +214,25 @@ class TestDigits:
         # n log2(p) above 2**16 bits is refused before any digit is computed
         with pytest.raises(DomainError, match="cost guard"):
             digit_expansion(Fraction(1, 3), p, n)
+
+    @pytest.mark.parametrize("p", [2, 3, 97])
+    def test_equals_one_divmod_per_digit(self, p):
+        rng = random.Random(p)
+        counts = list(range(1, 70)) + [127, 128, 129, 1000, rng.randint(1000, 4000)]
+        for n in counts:
+            x = random_rational(rng, 10**12, nonzero=True) * Fraction(p) ** rng.randint(-5, 5)
+            assert digit_expansion(x, p, n) == digits_by_division(x, p, n)
+
+    def test_largest_request_is_fast(self):
+        # 2**16 binary digits, the cost cap; one divmod per digit took 0.6 s
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            exp = digit_expansion(Fraction(1, 3), 2, 2**16)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.1, f"{min(elapsed):.3f}s"
+        value = sum(d << k for k, d in enumerate(exp.digits))
+        assert len(exp.digits) == 2**16 and value * 3 % 2**(2**16) == 1
 
     @given(nonzero_rationals, prime_st, st.integers(min_value=1, max_value=8))
     @settings(max_examples=120)

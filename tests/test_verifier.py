@@ -133,11 +133,13 @@ class TestConstantPlaces:
         assert checked == []
 
     def test_spot_check_checks_only_the_support(self, registry, checked):
+        # the support primes come proven from factorize, the spot-check
+        # places are built once, so a verification checks no prime at all
         report = registry.verify("norm-product", (Fraction(12),))
         assert report.verdict == EXACT_PASS
         report = registry.verify("norm-product", (Fraction(12),), rng=random.Random(1))
         assert report.verdict == EXACT_PASS
-        assert checked == [2, 3, 2, 3]
+        assert checked == []
 
 
 class TestReports:
