@@ -198,7 +198,8 @@ def kernel_places(
     den = _phase_argument(x_out, x_in, accel, duration).denominator
     candidates = denominator_places(x_out, x_in, accel) | {3}
     extra = tuple(p for p in candidates if den % p == 0)
-    return places_for(T, always=(2,) + extra)
+    # 2, 3 and the primes factorize proved for denominator_places
+    return places_for(T, _proven=(2,) + extra)
 
 
 def free_gauss_parameters(

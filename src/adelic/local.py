@@ -75,13 +75,17 @@ def parse_place(token: str) -> Place:
     return Place.finite(p)
 
 
-def places_for(*rationals: RationalLike, always: tuple[int, ...] = ()) -> tuple[Place, ...]:
+def places_for(
+    *rationals: RationalLike, always: tuple[int, ...] = (), _proven: tuple[int, ...] = ()
+) -> tuple[Place, ...]:
     """Archimedean place plus the union of supports of the nonzero arguments.
 
     The support primes come from factorize, which has proven them, so their
     places skip the primality check; the primes in ``always`` are checked.
+    ``_proven`` is for callers inside the library that add primes they have
+    proven themselves: those skip the check too.
     """
-    proven: set[int] = set()
+    proven: set[int] = set(_proven)
     for x in rationals:
         x = Fraction(x)
         if x != 0:

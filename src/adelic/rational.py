@@ -22,14 +22,32 @@ class DomainError(ValueError):
     """An argument falls outside an operation's mathematical domain."""
 
 
-# The first twelve primes.  is_prime screens by trial division with them, and
-# they are the Miller-Rabin bases: together they prove primality of every
-# n < _PSI_12.
+# The first twelve primes.  is_prime screens n with one gcd against their
+# product, and they are the Miller-Rabin bases.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
-# psi_12 (Sorenson and Webster, 2015): the least strong pseudoprime to every
-# base in _SMALL_PRIMES, about 3.2e23.
-_PSI_12 = 318665857834031151167461
+# psi_k (OEIS A014233): the least odd composite that is a strong pseudoprime
+# to each of the first k bases in _SMALL_PRIMES, so those k bases prove
+# primality of every n < psi_k (Jaeschke, Math. Comp. 61, 1993; psi_12 by
+# Sorenson and Webster, 2015).
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+
+# psi_12, about 3.2e23: all twelve bases prove primality only below it.
+_PSI_12 = _PSI[-1]
 
 _PRIME_LIMIT = 1 << 64
 
@@ -58,39 +76,46 @@ def primes_up_to(n: int) -> tuple[int, ...]:
 
 _TRIAL_PRIMES = primes_up_to(_TRIAL_BOUND - 1)
 
+# One gcd with this product finds every prime below _TRIAL_BOUND dividing n.
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n below 2**64; larger n are rejected."""
+    """Deterministic primality for n below 2**64; larger n are rejected.
+
+    One gcd screens n against the twelve primes up to 37; a survivor gets
+    Miller-Rabin to the first k of them, for the least k with n < psi_k.
+    """
     if n >= _PRIME_LIMIT:
         raise DomainError(f"primality test limited to 64-bit integers, got {n}")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _SMALL_PRODUCT) > 1:
+        return n in _SMALL_PRIMES
     return _strong_probable_prime(n)
 
 
 def _strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin to every base in _SMALL_PRIMES; n odd and above 37.
+    """Miller-Rabin to the first k bases in _SMALL_PRIMES; n odd and above 37.
 
-    A True answer proves n prime when n < _PSI_12.
+    Stops after the least k with n < psi_k, where those bases already prove
+    the answer, and runs all twelve for n >= _PSI_12.  A True answer proves n
+    prime when n < _PSI_12.
     """
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _SMALL_PRIMES:
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a, psi in zip(_SMALL_PRIMES, _PSI):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 
@@ -103,36 +128,51 @@ def require_prime(p: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n|, keys ascending.  n must be nonzero.
 
-    Primes below _TRIAL_BOUND are divided out; each remaining cofactor is
-    proven prime by Miller-Rabin or split with Brent's rho.  Raises
-    DomainError for a cofactor of at least _PSI_12 that passes Miller-Rabin,
-    since the witnesses prove nothing there, and for a split that exceeds
+    One gcd with the product of the primes below _TRIAL_BOUND finds the small
+    prime factors, which alone are divided out.  Each remaining cofactor is
+    proven prime by Miller-Rabin, found to be a perfect power, whose root is
+    factored instead, or split with Brent's rho.  Raises DomainError for a
+    cofactor of at least _PSI_12 that passes Miller-Rabin, since the
+    witnesses prove nothing there, and for a split that exceeds
     _RHO_STEP_LIMIT.
     """
     if n == 0:
         raise DomainError("0 has no prime factorization")
     n = abs(n)
     factors: dict[int, int] = {}
+    g = math.gcd(n, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
-        if p * p > n:
+        if g == 1:
             break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors[p] = e
-    pending = [n] if n > 1 else []
+        if p * p > g:
+            # g is squarefree with no factor below p: it is prime
+            p = g
+        elif g % p:
+            continue
+        g //= p
+        n //= p
+        e = 1
+        if not n % p:
+            k = _multiplicity(n, p)
+            n //= p**k
+            e += k
+        factors[p] = e
+    # (cofactor, multiplicity): no cofactor has a factor below _TRIAL_BOUND
+    pending = [(n, 1)] if n > 1 else []
     while pending:
-        m = pending.pop()
+        m, k = pending.pop()
         # below _TRIAL_BOUND**2, having no factor below the bound makes m prime
         if m < _TRIAL_BOUND**2 or _strong_probable_prime(m):
             if m >= _PSI_12:
                 raise DomainError(f"cannot prove {m} prime: above the Miller-Rabin bound {_PSI_12}")
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = factors.get(m, 0) + k
+            continue
+        root, j = _perfect_power(m)
+        if j > 1:
+            pending.append((root, k * j))
         else:
             d = _rho_split(m)
-            pending += (d, m // d)
+            pending += ((d, k), (m // d, k))
     return dict(sorted(factors.items()))
 
 
@@ -174,6 +214,37 @@ def _rho_split(n: int) -> int:
                     break
         if g != n:
             return g
+
+
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, j) with r**j == m for the least prime j that has one, else (m, 1).
+
+    m has no prime factor below _TRIAL_BOUND, so a j-th root exceeds the
+    bound and only primes j with _TRIAL_BOUND**j <= m are tried.
+    """
+    r = math.isqrt(m)
+    if r * r == m:
+        return r, 2
+    for j in _TRIAL_PRIMES[1:]:
+        if _TRIAL_BOUND**j > m:
+            break
+        r = _integer_root(m, j)
+        if r**j == m:
+            return r, j
+    return m, 1
+
+
+def _integer_root(m: int, j: int) -> int:
+    """The floor of the j-th root of m >= 1, by Newton's method on integers.
+
+    Starts above the root, from a power of two, and descends to it.
+    """
+    r = 1 << -(-m.bit_length() // j)
+    while True:
+        s = ((j - 1) * r + m // r ** (j - 1)) // j
+        if s >= r:
+            return r
+        r = s
 
 
 def valuation(x: RationalLike, p: int) -> int | float:

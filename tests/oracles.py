@@ -3,9 +3,11 @@
 These deliberately avoid the library's closed forms: quadratic residues by
 exhaustive squaring, Hilbert symbols by searching for solutions of the
 ternary quadratic modulo prime powers, local zeta factors by shell sums.
-Two exceptions are references for faster library code rather than
+Four exceptions are references for faster library code rather than
 independent oracles: zeta_exact_weights, bit for bit for the zeta series,
-and digits_by_division, digit for digit for digit_expansion.
+digits_by_division, digit for digit for digit_expansion, and
+strong_probable_prime_all_bases and factorize_by_trial_and_rho, answer for
+answer for the library's Miller-Rabin test and factorize.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from adelic.rational import DigitExpansion, digit_expansion, valuation
+from adelic.rational import (
+    _PSI_12,
+    _SMALL_PRIMES,
+    _TRIAL_PRIMES,
+    DigitExpansion,
+    DomainError,
+    _rho_split,
+    digit_expansion,
+    valuation,
+)
 from adelic.special import PoleError, complex_gamma
 
 
@@ -114,6 +125,79 @@ def digits_by_division(x: Fraction, p: int, n: int) -> DigitExpansion:
         residue, d = divmod(residue, p)
         digits.append(d)
     return DigitExpansion(valuation=v, digits=tuple(digits), prime=p)
+
+
+def strong_probable_prime_to(n: int, a: int) -> bool:
+    """One Miller-Rabin round: is the odd n > a a strong probable prime to base a?"""
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def strong_probable_prime_all_bases(n: int) -> bool:
+    """Miller-Rabin to all twelve bases 2..37, whatever the size of n; n odd and above 37.
+
+    The library's test before it stopped at the first psi_k above n.
+    """
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factorize_by_trial_and_rho(n: int) -> dict[int, int]:
+    """factorize as the library read before the gcd screen and the perfect-power test.
+
+    One % per prime below 1000 up to sqrt(n), then every cofactor that fails
+    strong_probable_prime_all_bases is split with the library's Brent rho,
+    perfect powers included.
+    """
+    if n == 0:
+        raise DomainError("0 has no prime factorization")
+    n = abs(n)
+    factors: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < 1000**2 or strong_probable_prime_all_bases(m):
+            if m >= _PSI_12:
+                raise DomainError(f"cannot prove {m} prime: above the Miller-Rabin bound {_PSI_12}")
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho_split(m)
+            pending += (d, m // d)
+    return dict(sorted(factors.items()))
 
 
 def zeta_shell_sum(a: float, p: int, tol: float = 1e-12) -> float:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from adelic import rational
 from adelic.dynamics import (
     AT_INFINITY,
     ATTRACTIVE,
@@ -171,6 +172,23 @@ class TestClassify:
         report = classify(MoebiusMap(2, 1, 1, 1))
         assert report.reports == ()
         assert report.irrational_discriminant == 5
+
+    def test_square_multiplier_needs_no_rho(self, monkeypatch):
+        # the multipliers q**2 and q**-2 are perfect squares: factorize takes
+        # the square root instead of walking rho ~sqrt(q) steps
+        splits = []
+
+        def counting(n):
+            splits.append(n)
+            return rho_split(n)
+
+        rho_split = rational._rho_split
+        monkeypatch.setattr(rational, "_rho_split", counting)
+        q = 2**31 - 1
+        report = classify(MoebiusMap(q, 0, 0, Fraction(1, q)))
+        assert [r.multiplier for r in report.reports] == [Fraction(1, q**2), Fraction(q**2)]
+        assert report.reports[0].exceptional == (INFINITY_PLACE, Place.finite(q))
+        assert splits == []
 
     def test_exceptional_set_inside_multiplier_support(self):
         rng = random.Random(3)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from adelic import gauss
+from adelic import gauss, local, rational
 from adelic.gauss import (
     GaussFactor,
     KernelValue,
@@ -213,6 +213,35 @@ class TestKernel:
         assert report.verdict == "ExactPass"
         assert len(report.factors) > 1
         assert calls == [args]
+
+    def test_verification_tests_no_proven_prime_again(self, monkeypatch):
+        # kernel_places hands the primes denominator_places has factored to
+        # places_for as proven, so Miller-Rabin never sees them a second time
+        proven, tested = set(), []
+
+        def recording_factorize(n):
+            factors = factorize(n)
+            proven.update(factors)
+            return factors
+
+        def counting_is_prime(n):
+            tested.append(n)
+            return is_prime(n)
+
+        is_prime = rational.is_prime
+        monkeypatch.setattr(rational, "factorize", recording_factorize)
+        monkeypatch.setattr(local, "factorize", recording_factorize)
+        monkeypatch.setattr(rational, "is_prime", counting_is_prime)
+        monkeypatch.setattr(gauss, "_last_phase", ((), Fraction(0)))
+        rng = random.Random(29)
+        for _ in range(40):
+            x2, x1, lam = (_rand_rational(rng, 10**6) for _ in range(3))
+            T = _rand_rational(rng, 10**6, nonzero=True)
+            assert verify_kernel_product(x2, x1, lam, T).verdict == "ExactPass"
+        args = (Fraction(1, 1009), Fraction(5, 1013 * 7), Fraction(3, 1019), Fraction(2, 9))
+        assert verify_kernel_product(*args).verdict == "ExactPass"
+        assert {1009, 1013, 1019} <= proven
+        assert [p for p in tested if p in proven] == []
 
     def test_reports_equal_an_uncached_reference(self, monkeypatch):
         rng = random.Random(19)

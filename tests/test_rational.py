@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelic import rational
 from adelic.rational import (
+    _PRIME_LIMIT,
+    _PSI,
+    _SMALL_PRIMES,
     DomainError,
     INFINITE,
+    _integer_root,
+    _strong_probable_prime,
     digit_expansion,
     factorize,
     is_prime,
@@ -19,7 +25,12 @@ from adelic.rational import (
     unit_part,
     valuation,
 )
-from oracles import digits_by_division
+from oracles import (
+    digits_by_division,
+    factorize_by_trial_and_rho,
+    strong_probable_prime_all_bases,
+    strong_probable_prime_to,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -44,6 +55,46 @@ class TestPrimality:
     def test_rejects_beyond_64_bits(self):
         with pytest.raises(DomainError):
             is_prime(2**64 + 13)
+
+
+class TestSizeMatchedBases:
+    """Miller-Rabin stops after the first k bases once n < psi_k."""
+
+    def test_each_psi_passes_exactly_its_bases(self):
+        # psi_k is listed for the bases 2.. up to the k-th prime; where the
+        # next entry differs, it must fail the next base (41 after 37)
+        bases = _SMALL_PRIMES + (41,)
+        for k, psi in enumerate(_PSI, start=1):
+            assert all(strong_probable_prime_to(psi, a) for a in bases[:k]), psi
+            if k == len(_PSI) or _PSI[k] != psi:
+                assert not strong_probable_prime_to(psi, bases[k]), psi
+            if psi < _PRIME_LIMIT:
+                assert not is_prime(psi)
+            else:
+                with pytest.raises(DomainError):
+                    is_prime(psi)
+
+    def test_table_ascends_to_psi_12(self):
+        assert list(_PSI) == sorted(_PSI)
+        assert _PSI[-1] == PSI_12
+
+    def test_agrees_with_all_twelve_bases_below_two_million(self):
+        disagree = [
+            n for n in range(39, 2 * 10**6, 2)
+            if _strong_probable_prime(n) != strong_probable_prime_all_bases(n)
+        ]
+        assert disagree == []
+
+    @pytest.mark.parametrize("bits", [24, 32, 40, 48, 56, 63, 64])
+    def test_agrees_with_all_twelve_bases_at_random_sizes(self, bits):
+        rng = random.Random(f"size-matched-bases:{bits}")
+        top = 1 << (bits - 1)
+        disagree = []
+        for _ in range(20_000):
+            n = rng.getrandbits(bits - 1) | top | 1
+            if _strong_probable_prime(n) != strong_probable_prime_all_bases(n):
+                disagree.append(n)
+        assert disagree == []
 
 
 def trial_division(n):
@@ -119,6 +170,66 @@ class TestFactorize:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             factorize(0)
+
+    def test_matches_the_trial_and_rho_reference(self):
+        rng = random.Random("factorize-reference")
+
+        def prime_between(lo, hi):
+            while True:
+                q = rng.randrange(lo, hi) | 1
+                if is_prime(q):
+                    return q
+
+        def prime_power():
+            return prime_between(1000, 10**6) ** rng.randint(1, 6)
+
+        cases = []
+        for _ in range(60):
+            cases.append(prime_power())
+            cases.append(prime_power() * prime_power())
+            cases.append(prime_between(65_537, 1 << 24) * prime_between(65_537, 1 << 24))
+            cases.append(rng.randint(2, 720) * prime_power())
+            cases.append(rng.randint(1, 10**15))
+        for n in cases:
+            assert factorize(n) == factorize_by_trial_and_rho(n), n
+
+    def test_prime_powers_need_no_rho(self, monkeypatch):
+        splits = []
+
+        def counting(n):
+            splits.append(n)
+            return rho_split(n)
+
+        rho_split = rational._rho_split
+        monkeypatch.setattr(rational, "_rho_split", counting)
+        for q in (1009, 1000003, 2**31 - 1):
+            assert factorize(q**2) == {q: 2}
+            assert factorize(-(q**3)) == {q: 3}
+            assert factorize(12 * q**6) == {2: 2, 3: 1, q: 6}
+        assert splits == []
+
+    def test_high_power_of_a_small_prime_is_cheap(self):
+        # the exponent of a small prime is stripped as valuation strips it,
+        # not one division of the whole number per factor
+        start = time.perf_counter()
+        assert factorize(3**40_000 * 7 * 5**3) == {3: 40_000, 5: 3, 7: 1}
+        assert time.perf_counter() - start < 0.1
+
+    def test_perfect_power_past_the_rho_cap(self):
+        # rho would need ~2**30 steps to split this; the root is factored instead
+        q = 2**61 - 1
+        assert factorize(q**7) == {q: 7}
+        assert factorize((q * (2**31 - 1)) ** 3) == {2**31 - 1: 3, q: 3}
+
+    def test_integer_root(self):
+        rng = random.Random("integer-root")
+        for _ in range(300):
+            j = rng.choice((3, 5, 7, 11, 13))
+            r = rng.randint(1, 2**rng.randint(1, 200))
+            for m in (r**j - 1, r**j, r**j + 1):
+                if m >= 1:
+                    root = _integer_root(m, j)
+                    assert root**j <= m < (root + 1) ** j
 
     @given(st.integers(min_value=1, max_value=10**7))
     @settings(max_examples=80)
