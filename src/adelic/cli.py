@@ -25,7 +25,7 @@ from .gauss import GaussFactor
 from .local import Place, RootOfUnity, additive_character, frac_part, local_abs, parse_place
 from .rational import DomainError, digit_expansion, parse_rational
 from .symbols import EighthRoot, hilbert_symbol, legendre_symbol, weil_index
-from .verifier import REGISTRY, parse_complex
+from .verifier import REGISTRY, format_complex, parse_complex
 
 
 def _emit(ns: argparse.Namespace, payload: dict, text: str) -> None:
@@ -82,7 +82,7 @@ _RENDER: dict[type, Callable[[object], tuple[dict, str]]] = {
     GaussFactor: lambda v: _approx(
         v, eighth_root_exponent=v.root.k, magnitude_base=str(v.mag_base), phase=str(v.phase.phase)
     ),
-    complex: lambda v: ({"value": [v.real, v.imag]}, f"{v.real:.12g}{v.imag:+.12g}i"),
+    complex: lambda v: ({"value": [v.real, v.imag]}, format_complex(v)),
 }
 
 

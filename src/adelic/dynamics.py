@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .local import INFINITY_PLACE, Place, local_abs
-from .rational import DomainError, RationalLike, _valuation, random_rational, support
+from .local import Place, local_abs, places_for
+from .rational import DomainError, RationalLike, _valuation, random_rational
 from .symbols import _sqrt_exact
 
 ATTRACTIVE = "attractive"
@@ -171,9 +171,7 @@ def classify(f: MoebiusMap) -> DynamicsReport:
     for fp in solve.points:
         m = fp.multiplier
         if places is None:
-            places = (INFINITY_PLACE,) + tuple(
-                Place._proven(p) for p in (support(m) if m != 1 else ())
-            )
+            places = places_for(m)
         table = tuple((v, _classify_norm(local_abs(m, v))) for v in places)
         exceptional = tuple(v for v, label in table if label != INDIFFERENT)
         reports.append(FixedPointReport(fp.point, m, table, exceptional))

@@ -107,7 +107,12 @@ class ExactFactor:
         return ExactFactor(self.root * other.root, self.mag2 * other.mag2, self.phase * other.phase)
 
     def to_complex(self) -> complex:
-        return self.root.to_complex() * math.sqrt(float(self.mag2)) * self.phase.to_complex()
+        try:
+            magnitude = math.sqrt(float(self.mag2))
+        except OverflowError:
+            bits = self.mag2.numerator.bit_length() - self.mag2.denominator.bit_length()
+            raise DomainError(f"exact value of squared magnitude ~2**{bits} leaves the double range") from None
+        return self.root.to_complex() * magnitude * self.phase.to_complex()
 
     def __str__(self) -> str:
         parts = []

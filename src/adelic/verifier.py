@@ -2,7 +2,7 @@
 
 A registered family supplies the local factor, the finite set of places that
 can differ from the identity, and argument plumbing for parsing and seeded
-sampling.  Exact families combine factors in the three-part exact algebra and
+sampling, which the built-in families derive from their argument signature.  Exact families combine factors in the three-part exact algebra and
 can only pass literally; numeric families report a residual.  Every exact
 verification also spot-checks one place outside the declared set, so an
 unsound place set surfaces as a failure instead of a silent wrong answer.
@@ -10,6 +10,7 @@ unsound place set surfaces as a failure instead of a silent wrong answer.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import zlib
@@ -29,9 +30,7 @@ FAIL = "Fail"
 # the primes in (47, 191], built once: a Place checks its prime when constructed
 _SPOT_CHECK_PLACES = tuple(Place.finite(p) for p in primes_up_to(191) if p > 47)
 
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?)(?:(?P<im>[+-]\d+(?:\.\d+)?)i)?\s*$"
-)
+_COMPLEX_RE = re.compile(r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?)(?:(?P<im>[+-]\d+(?:\.\d+)?)i)?\s*$")
 
 
 def parse_complex(token: str) -> complex:
@@ -39,12 +38,11 @@ def parse_complex(token: str) -> complex:
     m = _COMPLEX_RE.match(token)
     if not m:
         raise DomainError(f"{token!r} is not a complex number (use re or re+imi)")
-    re_part = float(m.group("re"))
-    im_part = float(m.group("im")) if m.group("im") else 0.0
-    return complex(re_part, im_part)
+    return complex(float(m.group("re")), float(m.group("im") or 0))
 
 
-def _format_complex(z: complex) -> str:
+def format_complex(z: complex) -> str:
+    """'re+imi' with 12 significant digits, as reports and the CLI show a complex value."""
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
@@ -147,11 +145,7 @@ class Registry:
             raise DomainError(f"unknown family {name!r}") from None
 
     def verify(
-        self,
-        name: str,
-        args: tuple,
-        tol: float = 1e-8,
-        rng: random.Random | None = None,
+        self, name: str, args: tuple, tol: float = 1e-8, rng: random.Random | None = None
     ) -> VerificationReport:
         fam = self.family(name)
         rendered = fam.render(args)
@@ -168,11 +162,7 @@ class Registry:
         )
 
     def _verify_exact(
-        self,
-        fam: ProductFamily,
-        args: tuple,
-        rendered: tuple[str, ...],
-        rng: random.Random | None,
+        self, fam: ProductFamily, args: tuple, rendered: tuple[str, ...], rng: random.Random | None
     ) -> VerificationReport:
         places = fam.relevant_places(args)
         combined = ExactFactor.identity()
@@ -196,7 +186,10 @@ class Registry:
                 diagnostic = f"unsound place set: factor {off} at excluded place {off_place}"
         residual = None
         if verdict == FAIL:
-            residual = abs(combined.to_complex() - 1)
+            try:
+                residual = abs(combined.to_complex() - 1)
+            except DomainError:  # the combined magnitude leaves the double range
+                residual = math.inf
         return VerificationReport(
             family=fam.name,
             args=rendered,
@@ -229,6 +222,8 @@ class Registry:
         fam = self.family(name)
         if trials < 0:
             raise DomainError(f"trial count must be nonnegative, got {trials}")
+        if height_bound < 1:  # checked here too: numeric families draw no rationals
+            raise DomainError(f"height bound must be at least 1, got {height_bound}")
         rng = random.Random(seed)
         counts: dict[str, int] = {}
         failures: list[dict] = []
@@ -256,16 +251,41 @@ class Registry:
         )
 
 
-def _parse_n(tokens: list[str], n: int, usage: str) -> list[str]:
-    if len(tokens) != n:
-        raise DomainError(f"expected {n} argument(s): {usage}")
-    return tokens
+def _check_count(tokens: list[str], signature: str) -> None:
+    if len(tokens) != len(signature.split()):
+        raise DomainError(f"expected {len(signature.split())} argument(s): {signature}")
 
 
-def _nonzero(x: Fraction, what: str) -> Fraction:
-    if x == 0:
-        raise DomainError(f"{what} must be a nonzero rational")
-    return x
+def _exact_family(
+    name: str, signature: str, note: str, factor: Callable[[Place, tuple], ExactFactor],
+    relevant_places: Callable[[tuple], tuple[Place, ...]], nonzero: str = "",
+) -> ProductFamily:
+    """An exact family of the rationals named in signature; those in nonzero must not be 0.
+
+    Parsing and sampling go argument by argument, left to right: the first
+    bad token decides the error, and a nonzero argument redraws a zero.
+    """
+    names = signature.split()
+    flags = [arg in nonzero.split() for arg in names]
+
+    def parse(tokens: list[str]) -> tuple:
+        _check_count(tokens, signature)
+        args = []
+        for token, arg, flag in zip(tokens, names, flags):
+            x = parse_rational(token)
+            if flag and x == 0:
+                raise DomainError(f"{arg} must be a nonzero rational")
+            args.append(x)
+        return tuple(args)
+
+    def sample(rng: random.Random, height: int) -> tuple:
+        return tuple(random_rational(rng, height, nonzero=flag) for flag in flags)
+
+    return ProductFamily(
+        name=name, usage=f"{name} {signature}   ({note})", exact=True, parse=parse,
+        render=lambda args: tuple(map(str, args)), sample=sample,
+        factor=factor, relevant_places=relevant_places,
+    )
 
 
 def _near_pole(z: complex) -> bool:
@@ -274,197 +294,117 @@ def _near_pole(z: complex) -> bool:
     return near_real_int and (round(z.real) <= 0 or round(z.real) in (1, 3, 5))
 
 
-def _sample_complex_off_poles(rng: random.Random, height: int) -> complex:
-    del height  # complex parameters are not height-bounded
+def _off_poles(rng: random.Random) -> complex:
+    # the boxes of _near_pole hold the discs of radius 0.15 about 0 and 1
     while True:
         z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 3.0))
-        if abs(z) > 5.0 or _near_pole(z):
-            continue
-        if abs(z) < 0.15 or abs(z - 1) < 0.15:
-            continue
-        return z
+        if abs(z) <= 5.0 and not _near_pole(z):
+            return z
+
+
+def _numeric_family(
+    name: str, signature: str, note: str, evaluate: Callable[[tuple], NumericEvaluation],
+    keep: Callable[[tuple], bool] = lambda args: True,
+) -> ProductFamily:
+    """A numeric family of the complex numbers named in signature.
+
+    A sample draws every argument off the poles, and draws them all again
+    until keep accepts them; complex arguments ignore the height bound.
+    """
+
+    def parse(tokens: list[str]) -> tuple:
+        _check_count(tokens, signature)
+        return tuple(map(parse_complex, tokens))
+
+    def sample(rng: random.Random, height: int) -> tuple:
+        while True:
+            args = tuple(_off_poles(rng) for _ in signature.split())
+            if keep(args):
+                return args
+
+    return ProductFamily(
+        name=name, usage=f"{name} {signature}   ({note})", exact=False, parse=parse,
+        render=lambda args: tuple(map(format_complex, args)), sample=sample, evaluate=evaluate,
+    )
+
+
+def _gamma_eval(args: tuple) -> NumericEvaluation:
+    report = special.verify_gamma_product(args[0])
+    factors = (
+        ("inf", format_complex(report.gamma_infinity)),
+        ("regularized p-product", "cancelled" if report.cancelled else format_complex(report.regularized_product)),
+    )
+    return NumericEvaluation(factors, report.residual)
+
+
+def _beta_eval(args: tuple) -> NumericEvaluation:
+    report = special.verify_beta_product(args[0], args[1])
+    factors = tuple(
+        (f"u={format_complex(r.u)}", "cancelled" if r.cancelled else f"residual {r.residual:.3e}")
+        for r in report.per_argument
+    )
+    return NumericEvaluation(factors, report.residual)
+
+
+def _functional_eval(args: tuple) -> NumericEvaluation:
+    a = args[0]
+    lhs = special.zeta_adelic(a)
+    rhs = special.zeta_adelic(1 - a)
+    residual = abs(lhs - rhs) / max(1.0, abs(lhs))
+    factors = (
+        (f"a={format_complex(a)}", format_complex(lhs)),
+        (f"1-a={format_complex(1 - a)}", format_complex(rhs)),
+    )
+    return NumericEvaluation(factors, residual)
 
 
 def default_registry() -> Registry:
-    """Registry with every built-in identity family."""
-    reg = Registry()
+    """Registry with every built-in identity family, each declared by its argument signature.
 
-    reg.register(
-        ProductFamily(
-            name="norm-product",
-            usage="norm-product x   (x a nonzero rational)",
-            exact=True,
-            parse=lambda t: (_nonzero(parse_rational(_parse_n(t, 1, "x")[0]), "x"),),
-            render=lambda a: (str(a[0]),),
-            sample=lambda rng, h: (random_rational(rng, h, nonzero=True),),
+    The factor and place callables look the library functions up when
+    called, so a function patched or wrapped after import is the one used.
+    """
+    reg = Registry()
+    for family in (
+        _exact_family(
+            "norm-product", "x", "x a nonzero rational", nonzero="x",
             factor=lambda v, a: ExactFactor.from_magnitude(local_abs(a[0], v)),
             relevant_places=lambda a: places_for(a[0]),
-        )
-    )
-
-    reg.register(
-        ProductFamily(
-            name="character-product",
-            usage="character-product x   (x rational)",
-            exact=True,
-            parse=lambda t: (parse_rational(_parse_n(t, 1, "x")[0]),),
-            render=lambda a: (str(a[0]),),
-            sample=lambda rng, h: (random_rational(rng, h),),
+        ),
+        _exact_family(
+            "character-product", "x", "x rational",
             factor=lambda v, a: ExactFactor.from_phase(additive_character(a[0], v)),
             relevant_places=lambda a: places_for(a[0]),
-        )
-    )
-
-    reg.register(
-        ProductFamily(
-            name="lambda-product",
-            usage="lambda-product x   (x a nonzero rational)",
-            exact=True,
-            parse=lambda t: (_nonzero(parse_rational(_parse_n(t, 1, "x")[0]), "x"),),
-            render=lambda a: (str(a[0]),),
-            sample=lambda rng, h: (random_rational(rng, h, nonzero=True),),
+        ),
+        _exact_family(
+            "lambda-product", "x", "x a nonzero rational", nonzero="x",
             factor=lambda v, a: ExactFactor.from_root(weil_index(a[0], v)),
             relevant_places=lambda a: places_for(a[0], always=(2,)),
-        )
-    )
-
-    reg.register(
-        ProductFamily(
-            name="hilbert-product",
-            usage="hilbert-product x y   (nonzero rationals)",
-            exact=True,
-            parse=lambda t: tuple(
-                _nonzero(parse_rational(tok), name)
-                for tok, name in zip(_parse_n(t, 2, "x y"), ("x", "y"))
-            ),
-            render=lambda a: (str(a[0]), str(a[1])),
-            sample=lambda rng, h: (
-                random_rational(rng, h, nonzero=True),
-                random_rational(rng, h, nonzero=True),
-            ),
+        ),
+        _exact_family(
+            "hilbert-product", "x y", "nonzero rationals", nonzero="x y",
             factor=lambda v, a: ExactFactor.from_sign(hilbert_symbol(a[0], a[1], v)),
             relevant_places=lambda a: places_for(a[0], a[1], always=(2,)),
-        )
-    )
-
-    reg.register(
-        ProductFamily(
-            name="gauss-product",
-            usage="gauss-product a b   (a nonzero rational, b rational)",
-            exact=True,
-            parse=lambda t: (
-                _nonzero(parse_rational(_parse_n(t, 2, "a b")[0]), "a"),
-                parse_rational(t[1]),
-            ),
-            render=lambda a: (str(a[0]), str(a[1])),
-            sample=lambda rng, h: (
-                random_rational(rng, h, nonzero=True),
-                random_rational(rng, h),
-            ),
+        ),
+        _exact_family(
+            "gauss-product", "a b", "a nonzero rational, b rational", nonzero="a",
             factor=lambda v, a: gauss.gauss_factor(a[0], a[1], v).exact(),
             relevant_places=lambda a: places_for(a[0], a[1], always=(2,)),
-        )
-    )
-
-    reg.register(
-        ProductFamily(
-            name="kernel-product",
-            usage="kernel-product x2 x1 accel T   (rationals, T nonzero)",
-            exact=True,
-            parse=lambda t: (
-                parse_rational(_parse_n(t, 4, "x2 x1 accel T")[0]),
-                parse_rational(t[1]),
-                parse_rational(t[2]),
-                _nonzero(parse_rational(t[3]), "T"),
-            ),
-            render=lambda a: tuple(str(x) for x in a),
-            sample=lambda rng, h: (
-                random_rational(rng, h),
-                random_rational(rng, h),
-                random_rational(rng, h),
-                random_rational(rng, h, nonzero=True),
-            ),
+        ),
+        _exact_family(
+            "kernel-product", "x2 x1 accel T", "rationals, T nonzero", nonzero="T",
             factor=lambda v, a: gauss.kernel(a[0], a[1], a[2], a[3], v).exact(),
             relevant_places=lambda a: gauss.kernel_places(*a),
-        )
-    )
-
-    def _gamma_eval(args: tuple) -> NumericEvaluation:
-        report = special.verify_gamma_product(args[0])
-        factors = (
-            ("inf", _format_complex(report.gamma_infinity)),
-            ("regularized p-product", "cancelled" if report.cancelled else _format_complex(report.regularized_product)),
-        )
-        return NumericEvaluation(factors, report.residual)
-
-    reg.register(
-        ProductFamily(
-            name="gamma-product",
-            usage="gamma-product u   (complex, u not 0 or 1)",
-            exact=False,
-            parse=lambda t: (parse_complex(_parse_n(t, 1, "u")[0]),),
-            render=lambda a: (_format_complex(a[0]),),
-            sample=_sample_complex_off_poles_tuple,
-            evaluate=_gamma_eval,
-        )
-    )
-
-    def _beta_eval(args: tuple) -> NumericEvaluation:
-        report = special.verify_beta_product(args[0], args[1])
-        factors = tuple(
-            (f"u={_format_complex(r.u)}", "cancelled" if r.cancelled else f"residual {r.residual:.3e}")
-            for r in report.per_argument
-        )
-        return NumericEvaluation(factors, report.residual)
-
-    reg.register(
-        ProductFamily(
-            name="beta-product",
-            usage="beta-product a b   (complex; a, b, 1-a-b off the pole set)",
-            exact=False,
-            parse=lambda t: tuple(parse_complex(tok) for tok in _parse_n(t, 2, "a b")),
-            render=lambda a: (_format_complex(a[0]), _format_complex(a[1])),
-            sample=_sample_beta_args,
-            evaluate=_beta_eval,
-        )
-    )
-
-    def _functional_eval(args: tuple) -> NumericEvaluation:
-        a = args[0]
-        lhs = special.zeta_adelic(a)
-        rhs = special.zeta_adelic(1 - a)
-        residual = abs(lhs - rhs) / max(1.0, abs(lhs))
-        factors = (
-            (f"a={_format_complex(a)}", _format_complex(lhs)),
-            (f"1-a={_format_complex(1 - a)}", _format_complex(rhs)),
-        )
-        return NumericEvaluation(factors, residual)
-
-    reg.register(
-        ProductFamily(
-            name="functional-equation",
-            usage="functional-equation a   (complex, off the pole set)",
-            exact=False,
-            parse=lambda t: (parse_complex(_parse_n(t, 1, "a")[0]),),
-            render=lambda a: (_format_complex(a[0]),),
-            sample=_sample_complex_off_poles_tuple,
-            evaluate=_functional_eval,
-        )
-    )
-
+        ),
+        _numeric_family("gamma-product", "u", "complex, u not 0 or 1", _gamma_eval),
+        _numeric_family(
+            "beta-product", "a b", "complex; a, b, 1-a-b off the pole set", _beta_eval,
+            keep=lambda args: not _near_pole(1 - args[0] - args[1]),
+        ),
+        _numeric_family("functional-equation", "a", "complex, off the pole set", _functional_eval),
+    ):
+        reg.register(family)
     return reg
-
-
-def _sample_complex_off_poles_tuple(rng: random.Random, height: int) -> tuple:
-    return (_sample_complex_off_poles(rng, height),)
-
-
-def _sample_beta_args(rng: random.Random, height: int) -> tuple:
-    while True:
-        a = _sample_complex_off_poles(rng, height)
-        b = _sample_complex_off_poles(rng, height)
-        if not _near_pole(1 - a - b):
-            return (a, b)
 
 
 REGISTRY = default_registry()

@@ -249,6 +249,16 @@ class TestDoubleRange:
         assert result.returncode == 2 and result.stdout == ""
         assert "double range" in result.stderr and "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("gauss", f"1/{10**400}", "0", "inf"),
+        ("kernel", "0", "0", "0", f"1/{10**400}", "inf"),
+    ])
+    def test_exact_value_past_the_double_range_exits_2(self, argv):
+        # |2a|^(-1/2) and |4T|^(-1/2) are exact, but their approximation is a double
+        result = run_process(*argv, timeout=30)
+        assert result.returncode == 2 and result.stdout == ""
+        assert "double range" in result.stderr and "Traceback" not in result.stderr
+
 
 def run_process(*argv, timeout):
     """One fresh `python -m adelic.cli` process; an escaping exception shows as exit 1."""
@@ -274,6 +284,9 @@ class TestInputGuards:
             "hilbert-product", "gauss-product", "kernel-product",
         )),
         ("suite", "norm-product", "--height", "-1"),
+        # the height was checked only when a rational was drawn: both passed
+        ("suite", "gamma-product", "--height", "0"),
+        ("suite", "norm-product", "--height", "0", "--trials", "0"),
         # printed "-3 trials" and exited 0
         ("suite", "norm-product", "--trials", "-3"),
         # non-finite a came out as residual nan, a failed verification

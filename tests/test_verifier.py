@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -175,6 +176,12 @@ class TestReports:
         with pytest.raises(DomainError, match="trial"):
             registry.random_suite("norm-product", -3, 10, seed=1)
 
+    def test_height_checked_for_every_family(self, registry):
+        for name in registry.names():
+            for trials in (0, 10):
+                with pytest.raises(DomainError, match="^height bound must be at least 1, got 0$"):
+                    registry.random_suite(name, trials, 0, seed=1)
+
     def test_numeric_suite(self, registry):
         report = registry.random_suite("functional-equation", 10, 10, seed=4)
         assert dict(report.verdicts) == {"NumericPass": 10}
@@ -231,3 +238,30 @@ class TestProductHelpers:
         report = verify_lambda_product(3)
         assert report.verdict == FAIL
         assert report.diagnostic.startswith("unsound place set")
+
+
+class TestDoubleRange:
+    def test_to_complex_names_the_double_range(self):
+        with pytest.raises(DomainError, match="double range"):
+            ExactFactor.from_magnitude(Fraction(2**2000)).to_complex()
+        assert ExactFactor.from_magnitude(Fraction(1, 2**2000)).to_complex() == 0
+
+    def test_fail_past_the_double_range_keeps_its_diagnostic(self):
+        # the norm product of 2**2000 without the place 2 leaves |x|_inf = 2**2000
+        reg = Registry()
+        reg.register(
+            ProductFamily(
+                name="norm-without-2",
+                usage="norm-without-2 x",
+                exact=True,
+                parse=lambda t: (parse_rational(t[0]),),
+                render=lambda a: (str(a[0]),),
+                sample=lambda rng, h: (Fraction(rng.randint(1, h)),),
+                factor=lambda v, a: ExactFactor.from_magnitude(local.local_abs(a[0], v)),
+                relevant_places=lambda a: tuple(v for v in places_for(a[0]) if v.prime != 2),
+            )
+        )
+        report = reg.verify("norm-without-2", (Fraction(2**2000),))
+        assert report.verdict == FAIL
+        assert report.residual == math.inf
+        assert report.diagnostic.startswith(f"combined factor {2**2000} ")
