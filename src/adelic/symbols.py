@@ -111,7 +111,9 @@ class ExactFactor:
             magnitude = math.sqrt(float(self.mag2))
         except OverflowError:
             bits = self.mag2.numerator.bit_length() - self.mag2.denominator.bit_length()
-            raise DomainError(f"exact value of squared magnitude ~2**{bits} leaves the double range") from None
+            raise DomainError(
+                f"exact value of squared magnitude ~2**{bits} leaves the double range"
+            ) from None
         return self.root.to_complex() * magnitude * self.phase.to_complex()
 
     def __str__(self) -> str:

@@ -2,8 +2,9 @@
 
 A registered family supplies the local factor, the finite set of places that
 can differ from the identity, and argument plumbing for parsing and seeded
-sampling, which the built-in families derive from their argument signature.  Exact families combine factors in the three-part exact algebra and
-can only pass literally; numeric families report a residual.  Every exact
+sampling; the built-in families derive theirs from their argument signature.
+Exact families combine factors in the three-part exact algebra and can only
+pass literally; numeric families report a residual.  Every exact
 verification also spot-checks one place outside the declared set, so an
 unsound place set surfaces as a failure instead of a silent wrong answer.
 """
@@ -30,7 +31,9 @@ FAIL = "Fail"
 # the primes in (47, 191], built once: a Place checks its prime when constructed
 _SPOT_CHECK_PLACES = tuple(Place.finite(p) for p in primes_up_to(191) if p > 47)
 
-_COMPLEX_RE = re.compile(r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?)(?:(?P<im>[+-]\d+(?:\.\d+)?)i)?\s*$")
+_COMPLEX_RE = re.compile(
+    r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?)(?:(?P<im>[+-]\d+(?:\.\d+)?)i)?\s*$"
+)
 
 
 def parse_complex(token: str) -> complex:

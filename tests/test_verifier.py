@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -250,14 +251,9 @@ class TestDoubleRange:
         # the norm product of 2**2000 without the place 2 leaves |x|_inf = 2**2000
         reg = Registry()
         reg.register(
-            ProductFamily(
+            dataclasses.replace(
+                REGISTRY.family("norm-product"),
                 name="norm-without-2",
-                usage="norm-without-2 x",
-                exact=True,
-                parse=lambda t: (parse_rational(t[0]),),
-                render=lambda a: (str(a[0]),),
-                sample=lambda rng, h: (Fraction(rng.randint(1, h)),),
-                factor=lambda v, a: ExactFactor.from_magnitude(local.local_abs(a[0], v)),
                 relevant_places=lambda a: tuple(v for v in places_for(a[0]) if v.prime != 2),
             )
         )
