@@ -261,6 +261,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         for token in ns.places.split(","):
             place = parse_place(token)
             if str(place) not in shown:
+                shown.add(str(place))
                 extra.append((str(place), str(fam.factor(place, args))))
         report = report._replace(factors=report.factors + tuple(extra))
     if ns.json:
@@ -348,8 +349,8 @@ def commands() -> tuple[Command, ...]:
     )
 
 
-# let tokens like -22/7 and -1.5-2i through as positional values
-_VALUE_TOKEN = re.compile(r"^-\d[\d./+i-]*$")
+# let tokens like -22/7, -1.5-2i and -1e-05+2i through as positional values
+_VALUE_TOKEN = re.compile(r"^-\d[\d./+ie-]*$")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -120,13 +120,19 @@ def _scaled_residue(x: Fraction, p: int, shift: int, modulus: int) -> int:
     return scaled.numerator * pow(scaled.denominator, -1, modulus) % modulus
 
 
+def _duration(duration: RationalLike) -> Fraction:
+    # the propagation time T as a Fraction; every kernel formula divides by it
+    T = Fraction(duration)
+    if T == 0:
+        raise DomainError("propagation time must be nonzero")
+    return T
+
+
 def kernel_phase_argument(
     x_out: RationalLike, x_in: RationalLike, accel: RationalLike, duration: RationalLike
 ) -> Fraction:
     """Exact rational argument of the character inside the propagator kernel."""
-    T = Fraction(duration)
-    if T == 0:
-        raise DomainError("propagation time must be nonzero")
+    T = _duration(duration)
     lam = Fraction(accel)
     x2 = Fraction(x_out)
     x1 = Fraction(x_in)
@@ -169,9 +175,7 @@ def kernel(
     Exact three-part value: weil_index(-8T) * |4T|**(-1/2) * character of the
     cubic-in-T phase polynomial, all in rational arithmetic.
     """
-    T = Fraction(duration)
-    if T == 0:
-        raise DomainError("propagation time must be nonzero")
+    T = _duration(duration)
     return GaussFactor(
         root=weil_index(-8 * T, place),
         mag_base=local_abs(4 * T, place),
@@ -192,9 +196,7 @@ def kernel_places(
     2 and the support of T are found among 3 and those denominators' primes;
     the denominator itself is never factored.
     """
-    T = Fraction(duration)
-    if T == 0:
-        raise DomainError("propagation time must be nonzero")
+    T = _duration(duration)
     den = _phase_argument(x_out, x_in, accel, duration).denominator
     candidates = denominator_places(x_out, x_in, accel) | {3}
     extra = tuple(p for p in candidates if den % p == 0)
@@ -211,9 +213,7 @@ def free_gauss_parameters(
     place by place; a is in the square class of -8T so the eighth-root parts
     already agree.
     """
-    T = Fraction(duration)
-    if T == 0:
-        raise DomainError("propagation time must be nonzero")
+    T = _duration(duration)
     a = Fraction(-1) / (8 * T)
     b = (Fraction(x_out) - Fraction(x_in)) / (4 * T)
     return a, b

@@ -22,11 +22,6 @@ class DomainError(ValueError):
     """An argument falls outside an operation's mathematical domain."""
 
 
-# The first twelve primes.  is_prime screens n with one gcd against their
-# product, and they are the Miller-Rabin bases.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
-
 # psi_k (OEIS A014233): the least odd composite that is a strong pseudoprime
 # to each of the first k bases in _SMALL_PRIMES, so those k bases prove
 # primality of every n < psi_k (Jaeschke, Math. Comp. 61, 1993; psi_12 by
@@ -74,10 +69,16 @@ def primes_up_to(n: int) -> tuple[int, ...]:
     return tuple(i for i in range(2, n + 1) if sieve[i])
 
 
+# The library's only small-prime table: the others are slices or subsets.
 _TRIAL_PRIMES = primes_up_to(_TRIAL_BOUND - 1)
 
 # One gcd with this product finds every prime below _TRIAL_BOUND dividing n.
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+
+# The first twelve primes.  is_prime screens n with one gcd against their
+# product, and they are the Miller-Rabin bases.
+_SMALL_PRIMES = _TRIAL_PRIMES[:12]
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:

@@ -16,8 +16,8 @@ from itertools import repeat
 from operator import add, mul, neg, sub
 from typing import NamedTuple
 
-from .local import INFINITY_PLACE, Place
-from .rational import DomainError, primes_up_to
+from .local import INFINITY_PLACE, Place, places_for
+from .rational import _TRIAL_PRIMES, DomainError, primes_up_to
 
 _POLE_TOL = 1e-8
 
@@ -214,9 +214,9 @@ class GammaProductReport(NamedTuple):
     raw_partial_bound: int
 
 
-# the primes of the raw partial product, built once: a Place checks its prime when constructed
+# the places of the raw partial product, at the primes up to 47, proven by the sieve
 _RAW_BOUND = 47
-_SMALL_PRIME_PLACES = tuple(Place.finite(p) for p in primes_up_to(_RAW_BOUND))
+_SMALL_PRIME_PLACES = places_for(_proven=tuple(p for p in _TRIAL_PRIMES if p <= _RAW_BOUND))[1:]
 
 
 def verify_gamma_product(u: complex) -> GammaProductReport:
@@ -319,28 +319,24 @@ def real_vacuum_moment(a: float) -> float:
     return 2.0 * val
 
 
-@lru_cache(maxsize=8)
-def _moebius_up_to(n: int) -> tuple[int, ...]:
-    mu = [1] * (n + 1)
-    primes = primes_up_to(n)
-    for p in primes:
-        for multiple in range(p, n + 1, p):
-            mu[multiple] *= -1
-        for multiple in range(p * p, n + 1, p * p):
-            mu[multiple] = 0
-    return tuple(mu)
+# mu(n) for n <= 61, from the sieve: _prime_zeta's s exceeds 1, so it takes
+# at most int(60 / s) + 2 <= 61 terms
+_MOEBIUS = [1] * 62
+for _p in _TRIAL_PRIMES[:18]:  # the primes up to 61
+    for _m in range(_p, 62, _p):
+        _MOEBIUS[_m] = 0 if _m % (_p * _p) == 0 else -_MOEBIUS[_m]
+del _p, _m
 
 
 def _prime_zeta(s: float) -> float:
     # sum over primes of p**(-s) via the Moebius expansion of log zeta(ns);
     # terms fall off like 2**(-n s), so the cutoff is tiny
-    n_max = max(2, int(60.0 / s) + 2)
-    mu = _moebius_up_to(n_max)
+    n_max = int(60.0 / s) + 2
     total = 0.0
     for n in range(1, n_max + 1):
-        if mu[n] == 0:
+        if _MOEBIUS[n] == 0:
             continue
-        total += mu[n] / n * math.log(abs(riemann_zeta(n * s)))
+        total += _MOEBIUS[n] / n * math.log(abs(riemann_zeta(n * s)))
     return total
 
 

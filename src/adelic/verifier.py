@@ -21,23 +21,22 @@ from typing import Callable, NamedTuple
 
 from . import gauss, special
 from .local import Place, additive_character, local_abs, places_for
-from .rational import DomainError, RationalLike, parse_rational, primes_up_to, random_rational
+from .rational import _TRIAL_PRIMES, DomainError, RationalLike, parse_rational, random_rational
 from .symbols import ExactFactor, hilbert_symbol, weil_index
 
 EXACT_PASS = "ExactPass"
 NUMERIC_PASS = "NumericPass"
 FAIL = "Fail"
 
-# the primes in (47, 191], built once: a Place checks its prime when constructed
-_SPOT_CHECK_PLACES = tuple(Place.finite(p) for p in primes_up_to(191) if p > 47)
+# the places at the primes in (47, 191], ascending, proven by the sieve
+_SPOT_CHECK_PLACES = places_for(_proven=tuple(p for p in _TRIAL_PRIMES if 47 < p <= 191))[1:]
 
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?)(?:(?P<im>[+-]\d+(?:\.\d+)?)i)?\s*$"
-)
+_REAL = r"\d+(?:\.\d+)?(?:e[+-]?\d+)?"
+_COMPLEX_RE = re.compile(rf"^\s*(?P<re>[+-]?{_REAL})(?:(?P<im>[+-]{_REAL})i)?\s*$")
 
 
 def parse_complex(token: str) -> complex:
-    """Parse 're' or 're+imi' (e.g. '2', '3+0.5i', '-1.5-2i')."""
+    """Parse 're' or 're+imi' as format_complex writes them (e.g. '2', '-1.5-2i', '1e-05+2i')."""
     m = _COMPLEX_RE.match(token)
     if not m:
         raise DomainError(f"{token!r} is not a complex number (use re or re+imi)")

@@ -454,6 +454,35 @@ def test_scipy_and_numpy_load_only_where_used():
         assert probe["oracle"] < 1e-9
 
 
+_IS_PRIME_PROBE = """
+import os, sys
+calls = 0
+def count(frame, event, arg):
+    global calls
+    code = frame.f_code
+    if event == "call" and code.co_name == "is_prime" and code.co_filename.endswith(
+        os.path.join("adelic", "rational.py")
+    ):
+        calls += 1
+sys.setprofile(count)
+import adelic.cli
+sys.setprofile(None)
+at_import = calls
+sys.setprofile(count)
+adelic.rational.is_prime(97)
+sys.setprofile(None)
+print(at_import, calls - at_import)
+"""
+
+
+def test_import_runs_no_primality_test():
+    with criterion("import adelic.cli runs no Miller-Rabin: its place tables come proven from the sieve"):
+        result = _run_python(["-c", _IS_PRIME_PROBE])
+        assert result.returncode == 0, result.stderr
+        # the second count shows the probe sees a call
+        assert result.stdout.split() == ["0", "1"]
+
+
 def _plain_records():
     """One instance of every record that only holds fields, made by the library."""
     f = MoebiusMap(2, 0, 0, Fraction(1, 2))

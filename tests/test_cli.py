@@ -9,6 +9,8 @@ import pytest
 
 import adelic
 from adelic.cli import commands, main
+from adelic.local import Place
+from adelic.special import gamma_local
 
 
 def run(capsys, *argv):
@@ -94,6 +96,12 @@ class TestEvaluationCommands:
         value = json.loads(out)["value"]
         assert abs(value[0] + 4.0 / 3.0) < 1e-12
 
+    def test_gamma_negative_exponent_token(self, capsys):
+        code, out, _ = run(capsys, "gamma", "-1e-05+2i", "3", "--json")
+        assert code == 0
+        value = complex(*json.loads(out)["value"])
+        assert value == gamma_local(complex(-1e-5, 2), Place.finite(3))
+
     def test_beta(self, capsys):
         code, out, _ = run(capsys, "beta", "2", "2", "2", "--json")
         assert code == 0
@@ -155,6 +163,14 @@ class TestVerifyAndSuite:
         assert code == 0
         factors = {f["place"]: f["value"] for f in json.loads(out)["factors"]}
         assert factors["5"] == "1" and factors["11"] == "1"
+
+    def test_verify_extra_places_are_listed_once(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "norm-product", "12", "--places", "5,5,05,3", "--json"
+        )
+        assert code == 0
+        places = [f["place"] for f in json.loads(out)["factors"]]
+        assert places == ["inf", "2", "3", "5"]
 
     def test_verify_unknown_family(self, capsys):
         code, _, err = run(capsys, "verify", "nope-product", "1")

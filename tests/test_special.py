@@ -411,6 +411,38 @@ class TestZetaAdelic:
             count += 1
 
 
+class TestMoebiusTable:
+    @staticmethod
+    def moebius(n):
+        # (-1)**k for a product of k distinct primes, 0 if a square divides n
+        sign, p = 1, 2
+        while n > 1:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    def test_equals_the_definition(self):
+        assert special._MOEBIUS[1:] == [self.moebius(n) for n in range(1, 62)]
+
+    def test_prime_zeta_stays_within_the_table(self, monkeypatch):
+        # s = k * a > 1 in mellin_vacuum; just above 1 takes the most terms
+        s = 1 + 1e-12
+        arguments = []
+
+        def recording_zeta(x):
+            arguments.append(x)
+            return 2.0
+
+        monkeypatch.setattr(special, "riemann_zeta", recording_zeta)
+        special._prime_zeta(s)
+        terms = max(round(x / s) for x in arguments)
+        assert terms == len(special._MOEBIUS) - 1 == 61
+
+
 class TestMellin:
     @pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 4.0])
     def test_numeric_matches_closed(self, a):

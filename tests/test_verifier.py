@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from adelic import local, verifier
-from adelic.local import places_for
+from adelic import local, special, verifier
+from adelic.local import Place, places_for
 from adelic.rational import DomainError, parse_rational, require_prime
 from adelic.special import verify_gamma_product
 from adelic.symbols import EighthRoot, ExactFactor, weil_index
@@ -19,6 +19,7 @@ from adelic.verifier import (
     ProductFamily,
     Registry,
     default_registry,
+    format_complex,
     parse_complex,
     verify_functional_equation,
     verify_gauss_product,
@@ -41,10 +42,30 @@ class TestParseComplex:
     def test_accepts(self, token, expected):
         assert parse_complex(token) == expected
 
-    @pytest.mark.parametrize("token", ["i", "2+", "abc", "1+2j"])
+    @pytest.mark.parametrize("token", ["i", "2+", "abc", "1+2j", "1e+2i", "2e", "1e-5.5"])
     def test_rejects(self, token):
         with pytest.raises(DomainError):
             parse_complex(token)
+
+    @pytest.mark.parametrize(
+        "z",
+        [1e-5 + 2j, 2 + 1e-5j, -3.5e-7 - 1e-6j, 1e16 + 0j, 0.1 - 123456789012j, -1.5 - 2j],
+    )
+    def test_reads_what_format_complex_writes(self, z):
+        # parts of at most 12 significant digits survive the 12-digit format
+        assert parse_complex(format_complex(z)) == z
+
+    def test_reads_what_format_complex_writes_random(self):
+        rng = random.Random(41)
+
+        def part():
+            # a mantissa of 1 to 12 digits times a power of ten
+            digits = rng.randrange(10 ** rng.randint(1, 12))
+            return float(f"{rng.choice('+-')}{digits}e{rng.randint(-30, 30)}")
+
+        for _ in range(2000):
+            z = complex(part(), part())
+            assert parse_complex(format_complex(z)) == z, z
 
 
 class TestRegistry:
@@ -142,6 +163,18 @@ class TestConstantPlaces:
         report = registry.verify("norm-product", (Fraction(12),), rng=random.Random(1))
         assert report.verdict == EXACT_PASS
         assert checked == []
+
+    def test_tables_hold_the_same_primes_in_the_same_order(self):
+        # the spot check's crc32 index and randrange draw read positions in
+        # its pool, so the order pins which place a report names
+        spot = verifier._SPOT_CHECK_PLACES
+        raw = special._SMALL_PRIME_PLACES
+        assert all(type(v) is Place for v in spot + raw)
+        assert [v.prime for v in spot] == [
+            53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109,
+            113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191,
+        ]
+        assert [v.prime for v in raw] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
 class TestReports:
