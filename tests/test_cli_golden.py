@@ -132,6 +132,18 @@ USAGE = (
 ) + tuple(f"{cmd} --help" for cmd in SUBCOMMANDS)
 
 
+# the parser builds the arguments of only the subcommand argv names: a global
+# option before it, a command name after another token, and options between
+# a command's positionals
+PARSER = (
+    "--json norm 7/8 2",
+    "-h norm",
+    "nosuch norm 7/8 2",
+    "verify norm 7/8",
+    "norm --json 7/8 2",
+)
+
+
 def _toggle_json(cmd: str) -> str:
     return cmd.replace(" --json", "") if "--json" in cmd else cmd + " --json"
 
@@ -154,6 +166,7 @@ CASES = tuple(dict.fromkeys(
     + MORE
     + FAILURES
     + USAGE
+    + PARSER
 ))
 
 
