@@ -17,7 +17,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import dynamics as dyn
 from . import gauss, special
@@ -353,15 +353,29 @@ def commands() -> tuple[Command, ...]:
 _VALUE_TOKEN = re.compile(r"^-\d[\d./+ie-]*$")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of those argv can run.
+
+    argparse dispatches to the first token of argv that names a command, so
+    given argv only that subcommand gets its arguments.  The others are
+    registered by name and help line alone, which is all the top-level help
+    and the invalid-choice error show of them.  Without argv every
+    subcommand gets its arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="adelic",
         description="Exact local-field arithmetic and adelic product verification.",
     )
     parser._negative_number_matcher = _VALUE_TOKEN
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in commands():
+    table = commands()
+    built = {cmd.name for cmd in table}
+    if argv is not None:
+        built = {next((token for token in argv if token in built), None)}
+    for cmd in table:
         p = sub.add_parser(cmd.name, help=cmd.help)
+        if cmd.name not in built:
+            continue
         p._negative_number_matcher = _VALUE_TOKEN
         p.set_defaults(cmd=cmd)
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
@@ -370,8 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .local import Place, local_abs, places_for
+from .local import Place, _Value, local_abs, places_for
 from .rational import DomainError, RationalLike, _valuation, random_rational
 from .symbols import _sqrt_exact
 
@@ -40,18 +39,18 @@ AT_INFINITY = _AtInfinity()
 PointLike = Fraction | _AtInfinity
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(_Value):
     """x -> (a x + b) / (c x + d) with exact rational entries and a d - b c = 1."""
 
+    __slots__ = ("a", "b", "c", "d")
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
 
-    def __post_init__(self) -> None:
-        for name in "abcd":
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> None:
+        for name, entry in zip(self.__slots__, (a, b, c, d)):
+            object.__setattr__(self, name, Fraction(entry))
         if self.a * self.d - self.b * self.c != 1:
             raise DomainError("map must have determinant exactly 1")
 

@@ -8,7 +8,6 @@ checked by literal equality instead of floating point.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -23,8 +22,44 @@ from .rational import (
 )
 
 
-@dataclass(frozen=True, order=False)
-class Place:
+class _Value:
+    """Base of the immutable values: the fields are the names in ``__slots__``.
+
+    An instance equals only an instance of the same class with equal fields,
+    hashes as the tuple of its fields and shows as ``Name(field=value, ...)``.
+    Its fields cannot be assigned or deleted: a subclass's ``__init__`` checks
+    and normalizes its arguments and stores them with ``object.__setattr__``.
+    Copies and pickles rebuild the value through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._astuple()
+
+
+class Place(_Value):
     """The archimedean place (prime=None) or a finite place at a prime.
 
     The prime is checked here, once; functions that receive a Place use it
@@ -33,11 +68,13 @@ class Place:
     is_prime.
     """
 
+    __slots__ = ("prime",)
     prime: int | None
 
-    def __post_init__(self) -> None:
-        if self.prime is not None:
-            require_prime(self.prime)
+    def __init__(self, prime: int | None) -> None:
+        if prime is not None:
+            require_prime(prime)
+        object.__setattr__(self, "prime", prime)
 
     @classmethod
     def finite(cls, p: int) -> "Place":
@@ -110,22 +147,22 @@ def denominator_places(*rationals: RationalLike) -> set[int]:
     return primes
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class RootOfUnity(_Value):
     """Exact point exp(2*pi*i*phase) on the unit circle, phase rational in [0,1).
 
     The group law is exact phase addition mod 1.  The complex rendering is for
     display only and must never be used for comparisons.
     """
 
+    __slots__ = ("phase",)
     phase: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", Fraction(self.phase) % 1)
+    def __init__(self, phase: RationalLike) -> None:
+        object.__setattr__(self, "phase", Fraction(phase) % 1)
 
-    @classmethod
-    def one(cls) -> "RootOfUnity":
-        return cls(Fraction(0))
+    @staticmethod
+    def one() -> "RootOfUnity":
+        return _PHASE_ONE
 
     @property
     def is_one(self) -> bool:
@@ -139,6 +176,9 @@ class RootOfUnity:
 
     def __str__(self) -> str:
         return "1" if self.phase == 0 else f"e(2pi*i*{self.phase})"
+
+
+_PHASE_ONE = RootOfUnity(0)
 
 
 def local_abs(x: RationalLike, place: Place) -> Fraction:
@@ -203,23 +243,27 @@ class AdeleCheck(NamedTuple):
     violations: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FiniteAdele:
+class FiniteAdele(_Value):
     """Finite-support model of an adele with rational components.
 
     Components at primes outside ``exceptional`` default to the real component
-    read inside the p-adic integers; listed primes may carry any rational.
-    A principal adele is the constant sequence: empty exceptional map.
+    read inside the p-adic integers; listed primes may carry any rational, and
+    each prime is listed at most once.  A principal adele is the constant
+    sequence: empty exceptional map.
     """
 
+    __slots__ = ("real_component", "exceptional")
     real_component: Fraction
-    exceptional: tuple[tuple[int, Fraction], ...] = field(default=())
+    exceptional: tuple[tuple[int, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "real_component", Fraction(self.real_component))
-        entries = tuple(
-            (require_prime(p), Fraction(value)) for p, value in sorted(self.exceptional)
-        )
+    def __init__(
+        self, real_component: RationalLike, exceptional: tuple[tuple[int, RationalLike], ...] = ()
+    ) -> None:
+        object.__setattr__(self, "real_component", Fraction(real_component))
+        entries = tuple((require_prime(p), Fraction(value)) for p, value in sorted(exceptional))
+        for (p, _), (q, _) in zip(entries, entries[1:]):
+            if p == q:
+                raise DomainError(f"prime {p} is listed twice among the exceptional components")
         object.__setattr__(self, "exceptional", entries)
 
     @classmethod

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .local import Place, RootOfUnity
+from .local import _PHASE_ONE, Place, RootOfUnity, _Value
 from .rational import (
     DomainError,
     RationalLike,
@@ -21,18 +20,20 @@ from .rational import (
 )
 
 
-@dataclass(frozen=True)
-class EighthRoot:
-    """Exact eighth root of unity exp(i*pi*k/4), k taken mod 8."""
+class EighthRoot(_Value):
+    """Exact eighth root of unity exp(i*pi*k/4), k an integer taken mod 8."""
 
+    __slots__ = ("k",)
     k: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", self.k % 8)
+    def __init__(self, k: int) -> None:
+        if not isinstance(k, int):
+            raise DomainError(f"eighth-root exponent must be an integer, got {k!r}")
+        object.__setattr__(self, "k", k % 8)
 
-    @classmethod
-    def one(cls) -> "EighthRoot":
-        return cls(0)
+    @staticmethod
+    def one() -> "EighthRoot":
+        return _ROOT_ONE
 
     @property
     def is_one(self) -> bool:
@@ -48,6 +49,9 @@ class EighthRoot:
         return "1" if self.k == 0 else f"exp(i*pi*{self.k}/4)"
 
 
+_ROOT_ONE = EighthRoot(0)
+
+
 def _sqrt_exact(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
@@ -59,45 +63,48 @@ def _sqrt_exact(q: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class ExactFactor:
+class ExactFactor(_Value):
     """Exact value of one local factor: eighth root x sqrt(mag2) x root of unity.
 
     mag2 is the squared magnitude, a positive rational, so products of
     half-integer powers of rationals stay exactly representable.
     """
 
+    __slots__ = ("root", "mag2", "phase")
     root: EighthRoot
     mag2: Fraction
     phase: RootOfUnity
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mag2", Fraction(self.mag2))
-        if self.mag2 <= 0:
+    def __init__(self, root: EighthRoot, mag2: RationalLike, phase: RootOfUnity) -> None:
+        mag2 = Fraction(mag2)
+        if mag2 <= 0:
             raise DomainError("factor magnitude must be positive")
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "mag2", mag2)
+        object.__setattr__(self, "phase", phase)
 
-    @classmethod
-    def identity(cls) -> "ExactFactor":
-        return cls(EighthRoot.one(), Fraction(1), RootOfUnity.one())
+    @staticmethod
+    def identity() -> "ExactFactor":
+        return _IDENTITY
 
     @classmethod
     def from_magnitude(cls, m: RationalLike) -> "ExactFactor":
         m = Fraction(m)
-        return cls(EighthRoot.one(), m * m, RootOfUnity.one())
+        return cls(_ROOT_ONE, m * m, _PHASE_ONE)
 
     @classmethod
     def from_phase(cls, phase: RootOfUnity) -> "ExactFactor":
-        return cls(EighthRoot.one(), Fraction(1), phase)
+        return cls(_ROOT_ONE, 1, phase)
 
     @classmethod
     def from_root(cls, root: EighthRoot) -> "ExactFactor":
-        return cls(root, Fraction(1), RootOfUnity.one())
+        return cls(root, 1, _PHASE_ONE)
 
     @classmethod
     def from_sign(cls, sign: int) -> "ExactFactor":
         if sign not in (1, -1):
             raise DomainError(f"sign factor must be +1 or -1, got {sign}")
-        return cls(EighthRoot(0 if sign == 1 else 4), Fraction(1), RootOfUnity.one())
+        return cls(_ROOT_ONE if sign == 1 else EighthRoot(4), 1, _PHASE_ONE)
 
     @property
     def is_identity(self) -> bool:
@@ -126,6 +133,9 @@ class ExactFactor:
         if not self.phase.is_one:
             parts.append(str(self.phase))
         return "*".join(parts) if parts else "1"
+
+
+_IDENTITY = ExactFactor(_ROOT_ONE, 1, _PHASE_ONE)
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -212,7 +222,7 @@ def weil_index(x: RationalLike, place: Place) -> EighthRoot:
     v = int(_valuation(x, p))
     if p != 2:
         if v % 2 == 0:
-            return EighthRoot.one()
+            return _ROOT_ONE
         k = 0 if p % 4 == 1 else 2
         if _legendre_of_unit(x / Fraction(p) ** v, p) == -1:
             k += 4

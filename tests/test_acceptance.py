@@ -483,6 +483,28 @@ def test_import_runs_no_primality_test():
         assert result.stdout.split() == ["0", "1"]
 
 
+_DATACLASS_PROBE = """
+import dataclasses
+made = []
+decorate = dataclasses.dataclass
+def counting(cls=None, /, **options):
+    if cls is None:
+        return lambda cls: counting(cls, **options)
+    made.append(cls.__qualname__)
+    return decorate(cls, **options)
+dataclasses.dataclass = counting
+import adelic.cli
+print(" ".join(made))
+"""
+
+
+def test_import_makes_one_dataclass():
+    with criterion("import adelic.cli runs the dataclass decorator once, for ProductFamily"):
+        result = _run_python(["-c", _DATACLASS_PROBE])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["ProductFamily"]
+
+
 def _plain_records():
     """One instance of every record that only holds fields, made by the library."""
     f = MoebiusMap(2, 0, 0, Fraction(1, 2))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import adelic
-from adelic.cli import commands, main
+from adelic.cli import build_parser, commands, main
 from adelic.local import Place
 from adelic.special import gamma_local
 
@@ -244,6 +245,36 @@ class TestUsageErrors:
         code = main([])
         capsys.readouterr()
         assert code == 2
+
+
+class TestParser:
+    @staticmethod
+    def subparsers(parser: argparse.ArgumentParser) -> dict:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_only_the_command_argv_names_gets_its_arguments(self):
+        names = [c.name for c in commands()]
+        for argv, runs in (
+            (["verify", "norm", "7/8"], "verify"),
+            (["--json", "norm", "7/8", "2"], "norm"),
+            (["nosuch", "norm"], "norm"),
+            (["-h"], None),
+        ):
+            subparsers = self.subparsers(build_parser(argv))
+            assert list(subparsers) == names
+            # -h alone, or -h and --json for a built subcommand
+            built = [name for name, p in subparsers.items() if len(p._actions) > 1]
+            assert built == ([runs] if runs else [])
+
+    def test_without_argv_every_command_gets_its_arguments(self):
+        subparsers = self.subparsers(build_parser())
+        assert all(len(p._actions) > 2 for p in subparsers.values())
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["adelic", "norm", "7/8", "2"])
+        assert main() == 0
+        assert capsys.readouterr().out == "|7/8|_2 = 8\n"
 
 
 class TestDoubleRange:

@@ -217,3 +217,13 @@ class TestFiniteAdele:
     def test_exceptional_keys_must_be_prime(self):
         with pytest.raises(DomainError):
             FiniteAdele(Fraction(1), ((4, Fraction(1)),))
+
+    @pytest.mark.parametrize("build", [
+        lambda: FiniteAdele(Fraction(1, 2), ((3, 1), (3, 5))),
+        lambda: FiniteAdele(Fraction(1, 2), ((5, 1), (3, 2), (5, 1))),
+        lambda: FiniteAdele.with_exceptions(1, (3, 3)),
+    ])
+    def test_a_prime_listed_twice_is_rejected(self, build):
+        # component() would silently return the first of the two
+        with pytest.raises(DomainError, match="prime [35] is listed twice"):
+            build()

@@ -39,6 +39,11 @@ class TestEighthRoot:
         assert (EighthRoot(3) * EighthRoot(7)).k == 2
         assert (EighthRoot(5) * EighthRoot(3)).is_one
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, Fraction(5, 2), Fraction(4), "3", None])
+    def test_exponent_must_be_an_int(self, k):
+        with pytest.raises(DomainError, match="eighth-root exponent must be an integer"):
+            EighthRoot(k)
+
     def test_exact_factor_algebra(self):
         f = ExactFactor.from_sign(-1) * ExactFactor.from_sign(-1)
         assert f.is_identity

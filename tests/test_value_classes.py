@@ -8,6 +8,7 @@ class is written.
 """
 
 import copy
+import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -145,3 +146,12 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, args, kwargs, fields, text):
         assert twin == value
         assert _fields(twin) == fields
         assert hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_plain_slotted_classes(cls):
+    # no dataclass code generation at import, and no dict per instance
+    assert not dataclasses.is_dataclass(cls)
+    value = next(c[0](*c[1]) for c in CASES if c[0] is cls)
+    assert not hasattr(value, "__dict__")
+    assert tuple(name for k in cls.__mro__ for name in vars(k).get("__slots__", ())) == FIELDS[cls]
