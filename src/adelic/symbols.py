@@ -222,7 +222,7 @@ def weil_index(x: RationalLike, place: Place) -> EighthRoot:
     v = int(_valuation(x, p))
     if p != 2:
         if v % 2 == 0:
-            return _ROOT_ONE
+            return EighthRoot.one()
         k = 0 if p % 4 == 1 else 2
         if _legendre_of_unit(x / Fraction(p) ** v, p) == -1:
             k += 4
