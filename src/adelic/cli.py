@@ -357,10 +357,10 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, with the arguments of those argv can run.
 
     argparse dispatches to the first token of argv that names a command, so
-    given argv only that subcommand gets its arguments.  The others are
-    registered by name and help line alone, which is all the top-level help
-    and the invalid-choice error show of them.  Without argv every
-    subcommand gets its arguments.
+    given argv only that subcommand gets its arguments and its -h.  The
+    others are registered by name and help line alone, which is all the
+    top-level help and the invalid-choice error show of them.  Without argv
+    every subcommand gets its arguments.
     """
     parser = argparse.ArgumentParser(
         prog="adelic",
@@ -373,7 +373,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     if argv is not None:
         built = {next((token for token in argv if token in built), None)}
     for cmd in table:
-        p = sub.add_parser(cmd.name, help=cmd.help)
+        p = sub.add_parser(cmd.name, help=cmd.help, add_help=cmd.name in built)
         if cmd.name not in built:
             continue
         p._negative_number_matcher = _VALUE_TOKEN
