@@ -353,14 +353,15 @@ def commands() -> tuple[Command, ...]:
 _VALUE_TOKEN = re.compile(r"^-\d[\d./+ie-]*$")
 
 
-def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the arguments of those argv can run.
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of the one argv runs.
 
-    argparse dispatches to the first token of argv that names a command, so
-    given argv only that subcommand gets its arguments and its -h.  The
-    others are registered by name and help line alone, which is all the
-    top-level help and the invalid-choice error show of them.  Without argv
-    every subcommand gets its arguments.
+    argparse dispatches to the first positional token of argv.  The
+    top-level parser has no option that takes a value, so that token is the
+    first one that names a command, and only that subcommand gets its
+    arguments and its -h.  The others are registered by name and help line
+    alone, which is all the top-level help and the invalid-choice error show
+    of them.
     """
     parser = argparse.ArgumentParser(
         prog="adelic",
@@ -369,9 +370,8 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     parser._negative_number_matcher = _VALUE_TOKEN
     sub = parser.add_subparsers(dest="command", required=True)
     table = commands()
-    built = {cmd.name for cmd in table}
-    if argv is not None:
-        built = {next((token for token in argv if token in built), None)}
+    names = {cmd.name for cmd in table}
+    built = {next((token for token in argv if token in names), None)}
     for cmd in table:
         p = sub.add_parser(cmd.name, help=cmd.help, add_help=cmd.name in built)
         if cmd.name not in built:
