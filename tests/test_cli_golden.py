@@ -89,6 +89,9 @@ MORE = (
     "lambda 3/5 inf --json",
     "gauss 3/4 2/5 3",
     "kernel 1/2 1/3 2 3/5 2 --json",
+    "gauss 1 0 5",
+    "gauss 1 0 5 --json",
+    "kernel 1/2 1/3 2 3/5 3",
     "wavefn 3 --json",
     "dynamics classify 1 1 0 1",
     "dynamics orbit 2 0 1 1/2 --x0 1/3 --fixed-point 0 --place inf --steps 3",
