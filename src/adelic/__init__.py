@@ -36,8 +36,6 @@ from .symbols import (
     weil_index,
 )
 from .gauss import (
-    GaussFactor,
-    KernelValue,
     WaveFunctionValue,
     fourier_self_dual_check,
     free_gauss_parameters,

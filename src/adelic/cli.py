@@ -21,10 +21,9 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import dynamics as dyn
 from . import gauss, special
-from .gauss import GaussFactor
 from .local import Place, RootOfUnity, additive_character, frac_part, local_abs, parse_place
 from .rational import DomainError, digit_expansion, parse_rational
-from .symbols import EighthRoot, hilbert_symbol, legendre_symbol, weil_index
+from .symbols import EighthRoot, ExactFactor, hilbert_symbol, legendre_symbol, weil_index
 from .verifier import REGISTRY, format_complex, parse_complex
 
 
@@ -68,19 +67,21 @@ def _zeta(a: complex, where: str | Place) -> complex:
     return special.zeta_adelic(a) if where == "adelic" else special.zeta_local(a, where)
 
 
-def _approx(value, **fields) -> tuple[dict, str]:
+def _approx(value, text: str, **fields) -> tuple[dict, str]:
     z = value.to_complex()
-    return {**fields, "approx": [z.real, z.imag]}, f"{value}  ~ {z.real:.6f}{z.imag:+.6f}i"
+    return {**fields, "approx": [z.real, z.imag]}, f"{text}  ~ {z.real:.6f}{z.imag:+.6f}i"
 
 
 # type of a local value -> its JSON fields and its text
 _RENDER: dict[type, Callable[[object], tuple[dict, str]]] = {
     Fraction: lambda v: ({"value": str(v)}, str(v)),
     int: lambda v: ({"value": v}, f"{v:+d}"),  # a sign
-    RootOfUnity: lambda v: _approx(v, phase=str(v.phase)),
-    EighthRoot: lambda v: _approx(v, eighth_root_exponent=v.k),
-    GaussFactor: lambda v: _approx(
-        v, eighth_root_exponent=v.root.k, magnitude_base=str(v.mag_base), phase=str(v.phase.phase)
+    RootOfUnity: lambda v: _approx(v, str(v), phase=str(v.phase)),
+    EighthRoot: lambda v: _approx(v, str(v), eighth_root_exponent=v.k),
+    # only gauss and kernel give an ExactFactor: shown as root * (|2a| or |4T|)^(-1/2) * phase
+    ExactFactor: lambda v: _approx(
+        v, f"{v.root} * ({1 / v.mag2})^(-1/2) * {v.phase}",
+        eighth_root_exponent=v.root.k, magnitude_base=str(1 / v.mag2), phase=str(v.phase.phase),
     ),
     complex: lambda v: ({"value": [v.real, v.imag]}, format_complex(v)),
 }

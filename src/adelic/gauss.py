@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from .local import (
     Place,
-    RootOfUnity,
     additive_character,
     denominator_places,
     integer_indicator,
@@ -26,44 +25,21 @@ from .local import (
     places_for,
 )
 from .rational import DomainError, RationalLike, _valuation, require_prime, support
-from .symbols import EighthRoot, ExactFactor, weil_index
+from .symbols import ExactFactor, weil_index
 
 _MAX_ORACLE_MODULUS = 1 << 20
 
 
-class GaussFactor(NamedTuple):
-    """Exact local value root * mag_base**(-1/2) * phase.
-
-    mag_base is |2a| for a Gauss integral and |4T| for a propagator kernel.
-    """
-
-    root: EighthRoot
-    mag_base: Fraction
-    phase: RootOfUnity
-
-    def exact(self) -> ExactFactor:
-        return ExactFactor(self.root, 1 / self.mag_base, self.phase)
-
-    def to_complex(self) -> complex:
-        return self.exact().to_complex()
-
-    def __str__(self) -> str:
-        return f"{self.root} * ({self.mag_base})^(-1/2) * {self.phase}"
-
-
-KernelValue = GaussFactor
-
-
-def gauss_factor(a: RationalLike, b: RationalLike, place: Place) -> GaussFactor:
+def gauss_factor(a: RationalLike, b: RationalLike, place: Place) -> ExactFactor:
     """Closed form of the local Gauss integral with quadratic coefficient a != 0."""
     a = Fraction(a)
     b = Fraction(b)
     if a == 0:
         raise DomainError("quadratic coefficient must be nonzero")
-    return GaussFactor(
-        root=weil_index(a, place),
-        mag_base=local_abs(2 * a, place),
-        phase=additive_character(-b * b / (4 * a), place),
+    return ExactFactor(
+        weil_index(a, place),
+        1 / local_abs(2 * a, place),
+        additive_character(-b * b / (4 * a), place),
     )
 
 
@@ -169,17 +145,17 @@ def kernel(
     accel: RationalLike,
     duration: RationalLike,
     place: Place,
-) -> GaussFactor:
+) -> ExactFactor:
     """Local evolution kernel for the constant-acceleration quadratic model.
 
     Exact three-part value: weil_index(-8T) * |4T|**(-1/2) * character of the
     cubic-in-T phase polynomial, all in rational arithmetic.
     """
     T = _duration(duration)
-    return GaussFactor(
-        root=weil_index(-8 * T, place),
-        mag_base=local_abs(4 * T, place),
-        phase=additive_character(_phase_argument(x_out, x_in, accel, duration), place),
+    return ExactFactor(
+        weil_index(-8 * T, place),
+        1 / local_abs(4 * T, place),
+        additive_character(_phase_argument(x_out, x_in, accel, duration), place),
     )
 
 

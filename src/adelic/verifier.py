@@ -390,12 +390,12 @@ def default_registry() -> Registry:
         ),
         _exact_family(
             "gauss-product", "a b", "a nonzero rational, b rational", nonzero="a",
-            factor=lambda v, a: gauss.gauss_factor(a[0], a[1], v).exact(),
+            factor=lambda v, a: gauss.gauss_factor(a[0], a[1], v),
             relevant_places=lambda a: places_for(a[0], a[1], always=(2,)),
         ),
         _exact_family(
             "kernel-product", "x2 x1 accel T", "rationals, T nonzero", nonzero="T",
-            factor=lambda v, a: gauss.kernel(a[0], a[1], a[2], a[3], v).exact(),
+            factor=lambda v, a: gauss.kernel(a[0], a[1], a[2], a[3], v),
             relevant_places=lambda a: gauss.kernel_places(*a),
         ),
         _numeric_family("gamma-product", "u", "complex, u not 0 or 1", _gamma_eval),

@@ -7,8 +7,6 @@ import pytest
 
 from adelic import gauss, local, rational
 from adelic.gauss import (
-    GaussFactor,
-    KernelValue,
     free_gauss_parameters,
     fourier_self_dual_check,
     gauss_factor,
@@ -49,18 +47,18 @@ class TestGaussFactor:
     def test_archimedean_unit(self):
         f = gauss_factor(1, 0, INFINITY_PLACE)
         assert f.root.k == 7
-        assert f.mag_base == 2
+        assert f.mag2 == Fraction(1, 2)
         assert f.phase.is_one
 
     def test_dyadic_unit(self):
         f = gauss_factor(1, 0, P2)
         assert f.root.k == 1
-        assert f.mag_base == Fraction(1, 2)
+        assert f.mag2 == 2
         assert f.phase.is_one
 
     def test_odd_prime_unit_is_trivial(self):
         f = gauss_factor(1, 0, P5)
-        assert f.exact().is_identity
+        assert f.is_identity
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(DomainError):
@@ -72,7 +70,7 @@ def _complex_product(report, factor_at) -> complex:
     product = 1 + 0j
     for place, value in report.factors:
         f = factor_at(parse_place(place))
-        assert value == str(f.exact())
+        assert value == str(f)
         product *= f.to_complex()
     return product
 
@@ -156,7 +154,7 @@ class TestKernel:
 
     def test_far_odd_prime_trivial(self):
         k = kernel(1, 0, 0, 1, P5)
-        assert k.exact().is_identity
+        assert k.is_identity
 
     def test_zero_time_rejected(self):
         with pytest.raises(DomainError):
@@ -171,9 +169,9 @@ class TestKernel:
         product = _complex_product(report, lambda v: kernel(*args, v))
         assert abs(product - 1) < 1e-12
 
-    def test_kernel_value_is_gauss_factor(self):
-        assert KernelValue is GaussFactor
-        assert type(kernel(1, 0, 0, 1, P2)) is GaussFactor
+    def test_gauss_factor_and_kernel_return_exact_factor(self):
+        assert type(gauss_factor(1, 0, P2)) is ExactFactor
+        assert type(kernel(1, 0, 0, 1, P2)) is ExactFactor
 
     def test_bulk_random(self):
         rng = random.Random(11)
@@ -257,12 +255,12 @@ class TestKernel:
             primes |= set(factorize(den))
             expected = []
             for v in (INFINITY_PLACE,) + tuple(Place.finite(p) for p in sorted(primes)):
-                factor = GaussFactor(
+                factor = ExactFactor(
                     weil_index(-8 * T, v),
-                    local_abs(4 * T, v),
+                    1 / local_abs(4 * T, v),
                     additive_character(kernel_phase_argument(*args), v),
                 )
-                expected.append((str(v), str(factor.exact())))
+                expected.append((str(v), str(factor)))
             report = verify_kernel_product(*args)
             assert report.verdict == "ExactPass"
             assert report.factors == tuple(expected)
@@ -285,13 +283,13 @@ class TestKernel:
             arg = kernel_phase_argument(x2, x1, 0, T)
             assert arg == -T / 2 + (x2 - x1) ** 2 / (8 * T)
             for place in kernel_places(x2, x1, 0, T):
-                lhs = kernel(x2, x1, 0, T, place).exact()
+                lhs = kernel(x2, x1, 0, T, place)
                 correction = ExactFactor(
                     EighthRoot.one(),
                     local_abs(4 * T, place) ** -2,
                     additive_character(-T / 2, place),
                 )
-                rhs = gauss_factor(a, b, place).exact() * correction
+                rhs = gauss_factor(a, b, place) * correction
                 assert lhs == rhs
 
 

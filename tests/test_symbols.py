@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adelic.local import INFINITY_PLACE, Place, parse_place
+from adelic.local import INFINITY_PLACE, Place, RootOfUnity, parse_place
 from adelic.rational import DomainError
 from adelic.symbols import (
     EighthRoot,
@@ -49,6 +49,10 @@ class TestEighthRoot:
         assert f.is_identity
         g = ExactFactor.from_magnitude(Fraction(3, 2)) * ExactFactor.from_magnitude(Fraction(2, 3))
         assert g.is_identity
+
+    def test_a_nontrivial_phase_alone_is_not_the_identity(self):
+        # root and magnitude are 1, so only the phase term can say no
+        assert ExactFactor.from_phase(RootOfUnity(Fraction(1, 3))).is_identity is False
 
 
 class TestLegendre:

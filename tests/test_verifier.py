@@ -8,7 +8,7 @@ import pytest
 
 from adelic import local, special, verifier
 from adelic.local import Place, places_for
-from adelic.rational import DomainError, parse_rational, require_prime
+from adelic.rational import DomainError, factorize, parse_rational, require_prime
 from adelic.special import verify_gamma_product
 from adelic.symbols import EighthRoot, ExactFactor, weil_index
 from adelic.verifier import (
@@ -16,6 +16,7 @@ from adelic.verifier import (
     FAIL,
     NUMERIC_PASS,
     REGISTRY,
+    NumericEvaluation,
     ProductFamily,
     Registry,
     default_registry,
@@ -134,6 +135,47 @@ class TestRegistry:
         report = reg.verify("bad-norm", (Fraction(6),))
         assert report.verdict == FAIL
         assert "unsound" in report.diagnostic
+
+    def test_phases_that_do_not_cancel_fail(self, registry):
+        # character-product without its largest denominator prime: at 7/12 the
+        # factors left multiply to a phase of order 3 with root and magnitude
+        # 1, and the spot-checked place is 1, so only the phase says Fail
+        fam = registry.family("character-product")
+        reg = Registry()
+        reg.register(
+            ProductFamily(
+                name="character-without-largest-denominator-prime",
+                usage=fam.usage,
+                exact=True,
+                parse=fam.parse,
+                render=fam.render,
+                sample=fam.sample,
+                factor=fam.factor,
+                relevant_places=lambda a: tuple(
+                    v for v in places_for(a[0]) if v.prime != max(factorize(a[0].denominator))
+                ),
+            )
+        )
+        report = reg.verify("character-without-largest-denominator-prime", (Fraction(7, 12),))
+        assert [place for place, _ in report.factors] == ["inf", "2", "7"]
+        assert report.verdict == FAIL
+        assert report.diagnostic.startswith("combined factor ")
+
+    def test_numeric_verdict_compares_the_residual_with_tol(self):
+        reg = Registry()
+        reg.register(
+            ProductFamily(
+                name="residual-1e-5",
+                usage="residual-1e-5 a",
+                exact=False,
+                parse=lambda t: (parse_complex(t[0]),),
+                render=lambda a: (format_complex(a[0]),),
+                sample=lambda rng, h: (0j,),
+                evaluate=lambda a: NumericEvaluation((), 1e-5),
+            )
+        )
+        assert reg.verify("residual-1e-5", (0j,)).verdict == FAIL
+        assert reg.verify("residual-1e-5", (0j,), tol=1e-4).verdict == NUMERIC_PASS
 
 
 class TestConstantPlaces:
