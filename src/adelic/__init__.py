@@ -37,7 +37,6 @@ from .symbols import (
 )
 from .gauss import (
     WaveFunctionValue,
-    fourier_self_dual_check,
     free_gauss_parameters,
     gauss_factor,
     gaussian_fourier_residual,
@@ -74,11 +73,6 @@ from .verifier import (
     SuiteReport,
     VerificationReport,
     default_registry,
-    verify_functional_equation,
-    verify_gauss_product,
-    verify_hilbert_product,
-    verify_kernel_product,
-    verify_lambda_product,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,11 +20,10 @@ from .local import (
     Place,
     additive_character,
     denominator_places,
-    integer_indicator,
     local_abs,
     places_for,
 )
-from .rational import DomainError, RationalLike, _valuation, require_prime, support
+from .rational import DomainError, RationalLike, _valuation, require_prime
 from .symbols import ExactFactor, weil_index
 
 _MAX_ORACLE_MODULUS = 1 << 20
@@ -206,42 +205,17 @@ class WaveFunctionValue(NamedTuple):
         return self.real_factor * self.padic_gate
 
 
-def oscillator_profile(x: RationalLike) -> float:
-    """Real vacuum profile 2**(1/4) * exp(-pi x**2)."""
-    t = float(Fraction(x))
-    return 2**0.25 * math.exp(-math.pi * t * t)
-
-
 def ground_state(x: RationalLike) -> WaveFunctionValue:
     """Adelic ground state at a rational point.
 
     The finite places contribute the product of integrality indicators, which
     is 1 exactly on the integers; the real place contributes the oscillator
-    vacuum profile.
+    vacuum profile 2**(1/4) * exp(-pi x**2).
     """
     x = Fraction(x)
     gate = 1 if x.denominator == 1 else 0
-    return WaveFunctionValue(real_factor=oscillator_profile(x), padic_gate=gate)
-
-
-def fourier_self_dual_check(k: RationalLike) -> bool:
-    """Check the oscillator vacuum evaluates to its own Fourier transform at k.
-
-    The transform has real factor 2**(1/4) * exp(-pi k**2) and the same
-    integrality gate; the gate is compared structurally and the real factors
-    to double precision.  The analytic Gaussian self-duality behind the real
-    factor is checked separately by quadrature.
-    """
-    k = Fraction(k)
-    lhs = ground_state(k)
-    rhs_gate = 1
-    if k != 0:
-        for p in support(k):
-            rhs_gate *= integer_indicator(k, p)
-    rhs_real = oscillator_profile(k)
-    return lhs.padic_gate == rhs_gate and math.isclose(
-        lhs.real_factor, rhs_real, rel_tol=1e-12, abs_tol=1e-300
-    )
+    t = float(x)
+    return WaveFunctionValue(real_factor=2**0.25 * math.exp(-math.pi * t * t), padic_gate=gate)
 
 
 def gaussian_fourier_residual(k: float) -> float:

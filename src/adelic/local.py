@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .rational import (
     _PRIME_LIMIT,
@@ -77,15 +77,11 @@ class Place(_Value):
         object.__setattr__(self, "prime", prime)
 
     @classmethod
-    def finite(cls, p: int) -> "Place":
-        return cls(p)
-
-    @classmethod
     def _proven(cls, p: int) -> "Place":
         # a prime factorize has proven: no Miller-Rabin, but the same 2**64
         # bound, whose DomainError the checked constructor raises
         if p >= _PRIME_LIMIT:
-            return cls.finite(p)
+            return cls(p)
         place = object.__new__(cls)
         object.__setattr__(place, "prime", p)
         return place
@@ -109,7 +105,7 @@ def parse_place(token: str) -> Place:
         p = int(token)
     except ValueError:
         raise DomainError(f"place must be 'inf' or a prime, got {token!r}") from None
-    return Place.finite(p)
+    return Place(p)
 
 
 def places_for(
@@ -128,7 +124,7 @@ def places_for(
         if x != 0:
             proven.update(support(x))
     return (INFINITY_PLACE,) + tuple(
-        Place._proven(p) if p in proven else Place.finite(p)
+        Place._proven(p) if p in proven else Place(p)
         for p in sorted(proven.union(always))
     )
 
@@ -266,23 +262,6 @@ class FiniteAdele(_Value):
                 raise DomainError(f"prime {p} is listed twice among the exceptional components")
         object.__setattr__(self, "exceptional", entries)
 
-    @classmethod
-    def principal(cls, x: RationalLike) -> "FiniteAdele":
-        return cls(Fraction(x))
-
-    @classmethod
-    def with_exceptions(cls, x: RationalLike, primes: Mapping[int, RationalLike] | tuple[int, ...]) -> "FiniteAdele":
-        if isinstance(primes, Mapping):
-            entries = tuple((p, Fraction(v)) for p, v in primes.items())
-        else:
-            x = Fraction(x)
-            entries = tuple((p, x) for p in primes)
-        return cls(Fraction(x), entries)
-
-    @property
-    def exceptional_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.exceptional)
-
     def component(self, place: Place) -> Fraction:
         if place.is_infinite:
             return self.real_component
@@ -296,7 +275,7 @@ class FiniteAdele(_Value):
         x = self.real_component
         if x == 0 or x.denominator == 1:
             return AdeleCheck(True, ())
-        listed = set(self.exceptional_primes)
+        listed = {p for p, _ in self.exceptional}
         bad = tuple(
             p for p in support(x)
             if p not in listed and _valuation(x, p) < 0

@@ -60,14 +60,7 @@ from adelic.symbols import (
     legendre_symbol,
     weil_index,
 )
-from adelic.verifier import (
-    default_registry,
-    verify_functional_equation,
-    verify_gauss_product,
-    verify_hilbert_product,
-    verify_kernel_product,
-    verify_lambda_product,
-)
+from adelic.verifier import default_registry
 
 from oracles import hilbert_solvable, legendre_table
 from test_dynamics import confirm_label_by_orbit
@@ -132,7 +125,7 @@ def test_lambda_product_bulk():
         rng = random.Random(44)
         for _ in range(1000):
             x = _rand_rational(rng, 10**6, nonzero=True)
-            report = verify_lambda_product(x)
+            report = REGISTRY.verify("lambda-product", (x,))
             assert report.verdict == "ExactPass"
             roots = [weil_index(x, parse_place(place)) for place, _ in report.factors]
             assert [value for _, value in report.factors] == [str(w) for w in roots]
@@ -145,14 +138,14 @@ def test_hilbert_product_and_solvability_oracle():
         for _ in range(1000):
             x = _rand_rational(rng, 10**6, nonzero=True)
             y = _rand_rational(rng, 10**6, nonzero=True)
-            assert verify_hilbert_product(x, y).verdict == "ExactPass"
+            assert REGISTRY.verify("hilbert-product", (x, y)).verdict == "ExactPass"
         from adelic.symbols import hilbert_symbol
 
         for _ in range(200):
             x = _rand_rational(rng, 100, nonzero=True)
             y = _rand_rational(rng, 100, nonzero=True)
             for p in (2, 3, 5, 7):
-                closed = hilbert_symbol(x, y, Place.finite(p))
+                closed = hilbert_symbol(x, y, Place(p))
                 assert (closed == 1) == hilbert_solvable(x, y, p)
 
 
@@ -171,13 +164,13 @@ def test_gauss_product_and_oracle():
         for _ in range(500):
             a = _rand_rational(rng, 10**4, nonzero=True)
             b = _rand_rational(rng, 10**4)
-            assert verify_gauss_product(a, b).verdict == "ExactPass"
+            assert REGISTRY.verify("gauss-product", (a, b)).verdict == "ExactPass"
         cases = 0
         while cases < 50:
             p = (2, 3, 5, 7)[cases % 4]
             a = _rand_with_valuation(rng, p, -2, 2)
             b = _rand_with_valuation(rng, p, -1, 1, height=10) if rng.random() < 0.7 else Fraction(0)
-            closed = gauss_factor(a, b, Place.finite(p)).to_complex()
+            closed = gauss_factor(a, b, Place(p)).to_complex()
             va = int(valuation(a, p))
             center_v = 0
             if b != 0:
@@ -197,7 +190,7 @@ def test_kernel_product_and_free_reduction():
                 _rand_rational(rng, 50),
                 _rand_rational(rng, 50, nonzero=True),
             )
-            assert verify_kernel_product(*args).verdict == "ExactPass"
+            assert REGISTRY.verify("kernel-product", args).verdict == "ExactPass"
         for _ in range(100):
             x2 = _rand_rational(rng, 30)
             x1 = _rand_rational(rng, 30)
@@ -233,7 +226,7 @@ def test_gamma_reflection_and_regularized_products():
     with criterion("gamma reflection + regularized gamma/beta products"):
         rng = random.Random(49)
         for p in (2, 3, 5):
-            place = Place.finite(p)
+            place = Place(p)
             done = 0
             while done < 100:
                 a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -276,7 +269,7 @@ def test_functional_equation_and_zeta_references():
                 complex(2.9, 3.1)]
         assert len(grid) == 20
         for a in grid:
-            assert verify_functional_equation(a) < 1e-8
+            assert REGISTRY.verify("functional-equation", (complex(a),)).residual < 1e-8
         rng = random.Random(50)
         done = 0
         while done < 100:
@@ -285,7 +278,7 @@ def test_functional_equation_and_zeta_references():
                 continue
             if abs(a.imag) < 0.2 and abs(a.real - round(a.real)) < 0.2:
                 continue
-            assert verify_functional_equation(a) < 1e-8
+            assert REGISTRY.verify("functional-equation", (complex(a),)).residual < 1e-8
             done += 1
 
 
@@ -301,7 +294,7 @@ def test_dynamics_exceptional_sets_and_orbits():
         maps = [random_map_with_rational_fixed_points(rng, 8) for _ in range(200)]
         for f in maps:
             for r in classify(f).reports:
-                allowed = {INFINITY_PLACE} | {Place.finite(p) for p in support(r.multiplier)}
+                allowed = {INFINITY_PLACE} | {Place(p) for p in support(r.multiplier)}
                 assert set(r.exceptional) <= allowed
                 assert len(r.exceptional) < math.inf
         for p in (2, 3, 5):
@@ -319,12 +312,12 @@ def test_dynamics_exceptional_sets_and_orbits():
         origin = by_point[Fraction(0)]
         assert origin.multiplier == 4
         assert origin.label_at(INFINITY_PLACE) == "repelling"
-        assert origin.label_at(Place.finite(2)) == "attractive"
-        assert set(origin.exceptional) == {INFINITY_PLACE, Place.finite(2)}
+        assert origin.label_at(Place(2)) == "attractive"
+        assert set(origin.exceptional) == {INFINITY_PLACE, Place(2)}
         other = by_point[Fraction(3, 2)]
         assert other.multiplier == Fraction(1, 4)
         assert other.label_at(INFINITY_PLACE) == "attractive"
-        assert other.label_at(Place.finite(2)) == "repelling"
+        assert other.label_at(Place(2)) == "repelling"
 
 
 def test_factoring_past_trial_division(capsys):
@@ -512,19 +505,19 @@ def _plain_records():
     report = classify(f)
     return (
         digit_expansion(Fraction(7, 8), 2, 3),
-        FiniteAdele.principal(Fraction(1, 2)).is_valid(),
+        FiniteAdele(Fraction(1, 2)).is_valid(),
         ground_state(Fraction(1, 2)),
         verify_gamma_product(2),
         verify_beta_product(0.25, 0.5),
         mellin_vacuum(2.0),
         REGISTRY.family("gamma-product").evaluate((2,)),
-        verify_lambda_product(3),
+        REGISTRY.verify("lambda-product", (Fraction(3),)),
         REGISTRY.random_suite("norm-product", 2, 10, 1),
         solve.points[0],
         solve,
         report.reports[0],
         report,
-        orbit_probe(f, Fraction(1, 3), Place.finite(2), 3, 0),
+        orbit_probe(f, Fraction(1, 3), Place(2), 3, 0),
     )
 
 

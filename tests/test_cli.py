@@ -101,7 +101,7 @@ class TestEvaluationCommands:
         code, out, _ = run(capsys, "gamma", "-1e-05+2i", "3", "--json")
         assert code == 0
         value = complex(*json.loads(out)["value"])
-        assert value == gamma_local(complex(-1e-5, 2), Place.finite(3))
+        assert value == gamma_local(complex(-1e-5, 2), Place(3))
 
     def test_beta(self, capsys):
         code, out, _ = run(capsys, "beta", "2", "2", "2", "--json")

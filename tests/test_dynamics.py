@@ -21,7 +21,7 @@ from adelic.dynamics import (
 from adelic.local import INFINITY_PLACE, Place, local_abs
 from adelic.rational import DomainError, random_rational, support, valuation
 
-P2, P3, P5 = (Place.finite(p) for p in (2, 3, 5))
+P2, P3, P5 = (Place(p) for p in (2, 3, 5))
 
 WORKED = MoebiusMap(2, 0, 1, Fraction(1, 2))  # 2x/(x + 1/2)
 PARABOLIC = MoebiusMap(1, 0, 1, 1)  # x/(x + 1)
@@ -118,7 +118,7 @@ def _classify_factoring_each(f):
     reports = []
     for fp in solve.points:
         m = fp.multiplier
-        places = [INFINITY_PLACE] + [Place.finite(p) for p in (support(m) if m != 1 else ())]
+        places = [INFINITY_PLACE] + [Place(p) for p in (support(m) if m != 1 else ())]
         table = []
         for v in places:
             norm = local_abs(m, v)
@@ -187,7 +187,7 @@ class TestClassify:
         q = 2**31 - 1
         report = classify(MoebiusMap(q, 0, 0, Fraction(1, q)))
         assert [r.multiplier for r in report.reports] == [Fraction(1, q**2), Fraction(q**2)]
-        assert report.reports[0].exceptional == (INFINITY_PLACE, Place.finite(q))
+        assert report.reports[0].exceptional == (INFINITY_PLACE, Place(q))
         assert splits == []
 
     def test_exceptional_set_inside_multiplier_support(self):
@@ -195,7 +195,7 @@ class TestClassify:
         for _ in range(200):
             f = random_map_with_rational_fixed_points(rng, 10)
             for r in classify(f).reports:
-                allowed = {INFINITY_PLACE} | {Place.finite(p) for p in support(r.multiplier)}
+                allowed = {INFINITY_PLACE} | {Place(p) for p in support(r.multiplier)}
                 assert set(r.exceptional) <= allowed
 
     def test_never_attractive_everywhere(self):
@@ -210,7 +210,7 @@ class TestClassify:
                     assert REPELLING in labels
                 product = local_abs(r.multiplier, INFINITY_PLACE)
                 for p in support(r.multiplier):
-                    product *= local_abs(r.multiplier, Place.finite(p))
+                    product *= local_abs(r.multiplier, Place(p))
                 assert product == 1
 
     def test_conjugation_invariance(self):
@@ -288,7 +288,7 @@ def confirm_label_by_orbit(f: MoebiusMap, report, p: int) -> bool:
     """
     if report.point is AT_INFINITY:
         return False
-    place = Place.finite(p)
+    place = Place(p)
     m = report.multiplier
     step = int(valuation(m, p))
     lam = f.c * Fraction(report.point) + f.d

@@ -8,7 +8,6 @@ import pytest
 from adelic import gauss, local, rational
 from adelic.gauss import (
     free_gauss_parameters,
-    fourier_self_dual_check,
     gauss_factor,
     gaussian_fourier_residual,
     ground_state,
@@ -20,9 +19,14 @@ from adelic.gauss import (
 from adelic.local import INFINITY_PLACE, Place, additive_character, local_abs, parse_place
 from adelic.rational import DomainError, factorize, valuation
 from adelic.symbols import EighthRoot, ExactFactor, weil_index
-from adelic.verifier import verify_gauss_product, verify_kernel_product
+from adelic.verifier import REGISTRY
 
-P2, P3, P5, P7 = (Place.finite(p) for p in (2, 3, 5, 7))
+P2, P3, P5, P7 = (Place(p) for p in (2, 3, 5, 7))
+
+
+def _verify(name, *args):
+    """REGISTRY.verify of an exact family, with the arguments as Fractions."""
+    return REGISTRY.verify(name, tuple(map(Fraction, args)))
 
 
 def _rand_rational(rng, height, nonzero=False):
@@ -77,17 +81,17 @@ def _complex_product(report, factor_at) -> complex:
 
 class TestGaussProduct:
     def test_simplest(self):
-        report = verify_gauss_product(1, 0)
+        report = _verify("gauss-product", 1, 0)
         assert report.verdict == "ExactPass"
         assert [place for place, _ in report.factors] == ["inf", "2"]
         product = _complex_product(report, lambda v: gauss_factor(1, 0, v))
         assert abs(product - 1) < 1e-12
 
     def test_linear_term(self):
-        assert verify_gauss_product(1, 1).verdict == "ExactPass"
+        assert _verify("gauss-product", 1, 1).verdict == "ExactPass"
 
     def test_fractional(self):
-        report = verify_gauss_product(Fraction(3, 4), Fraction(2, 5))
+        report = _verify("gauss-product", Fraction(3, 4), Fraction(2, 5))
         assert report.verdict == "ExactPass"
         product = _complex_product(report, lambda v: gauss_factor(Fraction(3, 4), Fraction(2, 5), v))
         assert abs(product - 1) < 1e-12
@@ -97,7 +101,7 @@ class TestGaussProduct:
         for _ in range(500):
             a = _rand_rational(rng, 10**4, nonzero=True)
             b = _rand_rational(rng, 10**4)
-            assert verify_gauss_product(a, b).verdict == "ExactPass"
+            assert _verify("gauss-product", a, b).verdict == "ExactPass"
 
 
 class TestGaussOracle:
@@ -133,7 +137,7 @@ class TestGaussOracle:
         for _ in range(6):
             a = _rand_with_valuation(rng, p, -2, 2)
             b = _rand_with_valuation(rng, p, -1, 1, height=10) if rng.random() < 0.7 else Fraction(0)
-            closed = gauss_factor(a, b, Place.finite(p)).to_complex()
+            closed = gauss_factor(a, b, Place(p)).to_complex()
             va = int(valuation(a, p))
             center_v = 0
             if b != 0:
@@ -161,10 +165,10 @@ class TestKernel:
             kernel(1, 0, 0, 0, P2)
 
     def test_product_examples(self):
-        assert verify_kernel_product(0, 0, 0, 1).verdict == "ExactPass"
-        assert verify_kernel_product(1, 0, 0, 1).verdict == "ExactPass"
+        assert _verify("kernel-product", 0, 0, 0, 1).verdict == "ExactPass"
+        assert _verify("kernel-product", 1, 0, 0, 1).verdict == "ExactPass"
         args = (Fraction(1, 2), Fraction(1, 3), 2, Fraction(3, 5))
-        report = verify_kernel_product(*args)
+        report = _verify("kernel-product", *args)
         assert report.verdict == "ExactPass"
         product = _complex_product(report, lambda v: kernel(*args, v))
         assert abs(product - 1) < 1e-12
@@ -180,7 +184,7 @@ class TestKernel:
             x1 = _rand_rational(rng, 50)
             lam = _rand_rational(rng, 50)
             T = _rand_rational(rng, 50, nonzero=True)
-            assert verify_kernel_product(x2, x1, lam, T).verdict == "ExactPass"
+            assert _verify("kernel-product", x2, x1, lam, T).verdict == "ExactPass"
 
     def test_places_match_factoring_the_phase_denominator(self):
         # kernel_places avoids factoring the phase denominator; the place set
@@ -207,7 +211,7 @@ class TestKernel:
         monkeypatch.setattr(gauss, "kernel_phase_argument", counting)
         monkeypatch.setattr(gauss, "_last_phase", ((), Fraction(0)))
         args = (Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3, 5))
-        report = verify_kernel_product(*args)
+        report = _verify("kernel-product", *args)
         assert report.verdict == "ExactPass"
         assert len(report.factors) > 1
         assert calls == [args]
@@ -235,9 +239,9 @@ class TestKernel:
         for _ in range(40):
             x2, x1, lam = (_rand_rational(rng, 10**6) for _ in range(3))
             T = _rand_rational(rng, 10**6, nonzero=True)
-            assert verify_kernel_product(x2, x1, lam, T).verdict == "ExactPass"
+            assert _verify("kernel-product", x2, x1, lam, T).verdict == "ExactPass"
         args = (Fraction(1, 1009), Fraction(5, 1013 * 7), Fraction(3, 1019), Fraction(2, 9))
-        assert verify_kernel_product(*args).verdict == "ExactPass"
+        assert _verify("kernel-product", *args).verdict == "ExactPass"
         assert {1009, 1013, 1019} <= proven
         assert [p for p in tested if p in proven] == []
 
@@ -254,24 +258,24 @@ class TestKernel:
             primes = {2} | set(factorize(T.numerator)) | set(factorize(T.denominator))
             primes |= set(factorize(den))
             expected = []
-            for v in (INFINITY_PLACE,) + tuple(Place.finite(p) for p in sorted(primes)):
+            for v in (INFINITY_PLACE,) + tuple(Place(p) for p in sorted(primes)):
                 factor = ExactFactor(
                     weil_index(-8 * T, v),
                     1 / local_abs(4 * T, v),
                     additive_character(kernel_phase_argument(*args), v),
                 )
                 expected.append((str(v), str(factor)))
-            report = verify_kernel_product(*args)
+            report = _verify("kernel-product", *args)
             assert report.verdict == "ExactPass"
             assert report.factors == tuple(expected)
 
         def fresh(args):
             monkeypatch.setattr(gauss, "_last_phase", ((), Fraction(0)))
-            return verify_kernel_product(*args)
+            return _verify("kernel-product", *args)
 
         # A, then B, then A again: each report is what a fresh run gives
         for a, b in zip(argsets[:100], argsets[100:200]):
-            assert [verify_kernel_product(*x) for x in (a, b, a)] == [fresh(x) for x in (a, b, a)]
+            assert [_verify("kernel-product", *x) for x in (a, b, a)] == [fresh(x) for x in (a, b, a)]
 
     def test_zero_acceleration_reduces_to_gauss_factors(self):
         rng = random.Random(13)
@@ -322,11 +326,6 @@ class TestGroundState:
 
 
 class TestFourier:
-    def test_self_dual_points(self):
-        assert fourier_self_dual_check(2)
-        assert fourier_self_dual_check(Fraction(1, 3))
-        assert fourier_self_dual_check(0)
-
     @pytest.mark.parametrize("k", [0.0, 1.0, 2.0])
     def test_gaussian_self_duality_quadrature(self, k):
         assert gaussian_fourier_residual(k) < 1e-8

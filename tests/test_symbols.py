@@ -14,11 +14,17 @@ from adelic.symbols import (
     legendre_symbol,
     weil_index,
 )
-from adelic.verifier import verify_hilbert_product, verify_lambda_product
+from adelic.verifier import REGISTRY
 
 from oracles import hilbert_solvable, legendre_table, weil_index_by_digits
 
-P2, P3, P5, P7 = (Place.finite(p) for p in (2, 3, 5, 7))
+P2, P3, P5, P7 = (Place(p) for p in (2, 3, 5, 7))
+
+
+def _verify(name, *args):
+    """REGISTRY.verify of an exact family, with the arguments as Fractions."""
+    return REGISTRY.verify(name, tuple(map(Fraction, args)))
+
 
 nonzero_rationals = st.builds(
     Fraction,
@@ -106,7 +112,7 @@ class TestHilbert:
         for _ in range(40):
             x = _rand_nonzero(rng, 60)
             y = _rand_nonzero(rng, 60)
-            closed = hilbert_symbol(x, y, Place.finite(p))
+            closed = hilbert_symbol(x, y, Place(p))
             assert (closed == 1) == hilbert_solvable(x, y, p)
 
     @given(nonzero_rationals, nonzero_rationals)
@@ -154,7 +160,7 @@ class TestWeilIndex:
         # 10,000 seeded rationals, each at every prime below with a valuation
         # in [-3, 3], so both parities of the valuation are covered
         rng = random.Random(8)
-        places = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13, 97)]
+        places = [Place(p) for p in (2, 3, 5, 7, 11, 13, 97)]
         for _ in range(10_000):
             r = _rand_nonzero(rng, 10**6)
             for v in places:
@@ -170,14 +176,14 @@ class TestWeilIndex:
 
 class TestLambdaProduct:
     def test_unit_example(self):
-        report = verify_lambda_product(1)
+        report = _verify("lambda-product", 1)
         assert report.verdict == "ExactPass"
         assert report.factors == (("inf", str(EighthRoot(7))), ("2", str(EighthRoot(1))))
         assert weil_index(1, INFINITY_PLACE).k == 7
         assert weil_index(1, P2).k == 1
 
     def test_minus_one(self):
-        report = verify_lambda_product(-1)
+        report = _verify("lambda-product", -1)
         assert report.verdict == "ExactPass"
         product = 1 + 0j
         for place, value in report.factors:
@@ -187,7 +193,7 @@ class TestLambdaProduct:
         assert abs(product - 1) < 1e-12
 
     def test_four(self):
-        report = verify_lambda_product(4)
+        report = _verify("lambda-product", 4)
         assert report.verdict == "ExactPass"
         assert report.factors == (("inf", str(EighthRoot(7))), ("2", str(EighthRoot(1))))
         assert weil_index(4, P2).k == 1
@@ -196,12 +202,12 @@ class TestLambdaProduct:
     def test_bulk_random(self):
         rng = random.Random(42)
         for _ in range(1000):
-            assert verify_lambda_product(_rand_nonzero(rng, 10**6)).verdict == "ExactPass"
+            assert _verify("lambda-product", _rand_nonzero(rng, 10**6)).verdict == "ExactPass"
 
 
 class TestHilbertProduct:
     def test_minus_one_pair(self):
-        report = verify_hilbert_product(-1, -1)
+        report = _verify("hilbert-product", -1, -1)
         assert report.verdict == "ExactPass"
         minus_one = str(ExactFactor.from_sign(-1))
         assert report.factors == (("inf", minus_one), ("2", minus_one))
@@ -210,16 +216,16 @@ class TestHilbertProduct:
 
     def test_one_with_anything(self):
         for y in (Fraction(3, 7), Fraction(-22, 5), Fraction(1)):
-            report = verify_hilbert_product(1, y)
+            report = _verify("hilbert-product", 1, y)
             assert report.verdict == "ExactPass"
             assert all(value == "1" for _, value in report.factors)
             assert all(hilbert_symbol(1, y, parse_place(place)) == 1 for place, _ in report.factors)
 
     def test_two_five(self):
-        assert verify_hilbert_product(2, 5).verdict == "ExactPass"
+        assert _verify("hilbert-product", 2, 5).verdict == "ExactPass"
 
     def test_bulk_random(self):
         rng = random.Random(43)
         for _ in range(1000):
             x, y = _rand_nonzero(rng, 10**6), _rand_nonzero(rng, 10**6)
-            assert verify_hilbert_product(x, y).verdict == "ExactPass"
+            assert _verify("hilbert-product", x, y).verdict == "ExactPass"

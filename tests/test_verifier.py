@@ -22,11 +22,6 @@ from adelic.verifier import (
     default_registry,
     format_complex,
     parse_complex,
-    verify_functional_equation,
-    verify_gauss_product,
-    verify_hilbert_product,
-    verify_kernel_product,
-    verify_lambda_product,
 )
 
 
@@ -202,13 +197,11 @@ class TestConstantPlaces:
         # places are built once, so a verification checks no prime at all
         report = registry.verify("norm-product", (Fraction(12),))
         assert report.verdict == EXACT_PASS
-        report = registry.verify("norm-product", (Fraction(12),), rng=random.Random(1))
-        assert report.verdict == EXACT_PASS
         assert checked == []
 
     def test_tables_hold_the_same_primes_in_the_same_order(self):
-        # the spot check's crc32 index and randrange draw read positions in
-        # its pool, so the order pins which place a report names
+        # the spot check's crc32 index reads a position in its pool, so the
+        # order pins which place a report names
         spot = verifier._SPOT_CHECK_PLACES
         raw = special._SMALL_PRIME_PLACES
         assert all(type(v) is Place for v in spot + raw)
@@ -262,45 +255,78 @@ class TestReports:
         report = registry.random_suite("functional-equation", 10, 10, seed=4)
         assert dict(report.verdicts) == {"NumericPass": 10}
 
+    def test_a_suite_failure_replays_through_verify(self, registry):
+        # a norm product that drops its largest support prime fails wherever x
+        # has one; the diagnostic names the dropped factor, or the excluded
+        # place when the spot check lands on the dropped prime, so a replay
+        # agrees only if a trial checks the place verify checks
+        def without_largest(args):
+            places = places_for(args[0])
+            return places[:-1] if len(places) > 1 else places
+
+        fam = registry.family("norm-product")
+        reg = Registry()
+        name = reg.register(
+            ProductFamily(
+                name="norm-without-largest-prime", usage=fam.usage, exact=True,
+                parse=fam.parse, render=fam.render, sample=fam.sample,
+                factor=fam.factor, relevant_places=without_largest,
+            )
+        )
+        unsound = 0
+        for height in (200, 1000):
+            report = reg.random_suite(name, 300, height, seed=5)
+            assert len(report.failures) >= 299
+            for failure in report.failures:
+                replay = reg.verify(name, fam.parse(failure["args"]))
+                assert (replay.verdict, replay.diagnostic) == (FAIL, failure["diagnostic"])
+                assert replay.residual == failure["residual"]
+                unsound += failure["diagnostic"].startswith("unsound place set")
+        assert unsound > 0
+
 
 class TestProductHelpers:
+    """REGISTRY.verify, the one entry point of every family."""
+
     def test_default_registry_is_fresh(self):
         assert default_registry() is not default_registry()
         assert default_registry() is not REGISTRY
 
     @pytest.mark.parametrize(
-        "helper,name,args",
+        "name,args",
         [
-            (verify_lambda_product, "lambda-product", (Fraction(-18, 35),)),
-            (verify_hilbert_product, "hilbert-product", (Fraction(6), Fraction(-10, 7))),
-            (verify_gauss_product, "gauss-product", (Fraction(3, 4), Fraction(2, 5))),
-            (verify_kernel_product, "kernel-product", tuple(map(Fraction, (1, 0, 3, 5)))),
+            ("lambda-product", (Fraction(-18, 35),)),
+            ("hilbert-product", (Fraction(6), Fraction(-10, 7))),
+            ("gauss-product", (Fraction(3, 4), Fraction(2, 5))),
+            ("kernel-product", tuple(map(Fraction, (1, 0, 3, 5)))),
         ],
     )
-    def test_helper_is_the_registry_verdict(self, registry, helper, name, args):
-        report = helper(*args)
+    def test_module_registry_is_the_default_verdict(self, registry, name, args):
+        report = REGISTRY.verify(name, args)
         assert report == registry.verify(name, args)
         assert report.verdict == EXACT_PASS
 
     def test_functional_equation_is_the_registry_residual(self, registry):
         a = 0.25 + 1.5j
-        assert verify_functional_equation(a) == registry.verify("functional-equation", (a,)).residual
+        report = REGISTRY.verify("functional-equation", (a,))
+        assert report == registry.verify("functional-equation", (a,))
+        assert report.verdict == NUMERIC_PASS
 
     @pytest.mark.parametrize(
-        "helper,args",
+        "name,args",
         [
-            (verify_lambda_product, (0,)),
-            (verify_hilbert_product, (0, 3)),
-            (verify_hilbert_product, (3, 0)),
-            (verify_gauss_product, (0, 1)),
-            (verify_kernel_product, (1, 2, 3, 0)),
-            (verify_functional_equation, (0,)),
-            (verify_functional_equation, (1,)),
+            ("lambda-product", (Fraction(0),)),
+            ("hilbert-product", (Fraction(0), Fraction(3))),
+            ("hilbert-product", (Fraction(3), Fraction(0))),
+            ("gauss-product", (Fraction(0), Fraction(1))),
+            ("kernel-product", tuple(map(Fraction, (1, 2, 3, 0)))),
+            ("functional-equation", (0j,)),
+            ("functional-equation", (1 + 0j,)),
         ],
     )
-    def test_zero_or_pole_argument_rejected(self, helper, args):
+    def test_zero_or_pole_argument_rejected(self, name, args):
         with pytest.raises(DomainError):
-            helper(*args)
+            REGISTRY.verify(name, args)
 
     def test_helper_spot_checks_an_excluded_place(self, monkeypatch):
         # a Weil index that is -1 at every prime above 47 leaves the declared
@@ -311,7 +337,7 @@ class TestProductHelpers:
             return weil_index(x, place)
 
         monkeypatch.setattr(verifier, "weil_index", corrupted)
-        report = verify_lambda_product(3)
+        report = REGISTRY.verify("lambda-product", (Fraction(3),))
         assert report.verdict == FAIL
         assert report.diagnostic.startswith("unsound place set")
 
