@@ -257,7 +257,7 @@ class TestReports:
 
     def test_a_suite_failure_replays_through_verify(self, registry):
         # a norm product that drops its largest support prime fails wherever x
-        # has one; the diagnostic names the dropped factor, or the excluded
+        # has one; the diagnostic names the combined factor, or the excluded
         # place when the spot check lands on the dropped prime, so a replay
         # agrees only if a trial checks the place verify checks
         def without_largest(args):
