@@ -23,11 +23,7 @@ _POLE_TOL = 1e-8
 
 
 class PoleError(DomainError):
-    """Evaluation requested too close to a pole; carries the pole location."""
-
-    def __init__(self, message: str, location: complex | None = None):
-        super().__init__(message)
-        self.location = location
+    """Evaluation requested too close to a pole."""
 
 
 # Lanczos approximation, g = 7, 9 coefficients: relative error below 1e-13
@@ -56,7 +52,7 @@ def complex_gamma(z: complex) -> complex:
     try:
         if z.real < 0.5:
             if abs(z.imag) < _POLE_TOL and abs(z.real - round(z.real)) < _POLE_TOL and round(z.real) <= 0:
-                raise PoleError(f"gamma pole at {round(z.real)}", location=round(z.real))
+                raise PoleError(f"gamma pole at {round(z.real)}")
             return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1 - z))
         w = z - 1
         acc = _LANCZOS_COEF[0]
@@ -132,7 +128,7 @@ class ZetaEvaluator:
     def __call__(self, s: complex) -> complex:
         s = complex(s)
         if abs(s - 1) < _POLE_TOL:
-            raise PoleError("zeta pole at 1", location=1)
+            raise PoleError("zeta pole at 1")
         if not 1.4 * abs(s.imag) < _MAX_TERMS - 27:
             raise DomainError(
                 f"riemann_zeta needs |Im s| < {self.max_imag:.2f}, where its series "
@@ -157,7 +153,7 @@ class ZetaEvaluator:
         acc = reduce(add, map(mul, weights, map(cmath.exp, map(mul, repeat(-s, n), logs))), 0j)
         denom = 1 - 2 ** (1 - s)
         if abs(denom) < 1e-9:
-            raise PoleError(f"alternating-series pole point at {s}", location=s)
+            raise PoleError(f"alternating-series pole point at {s}")
         value = -acc / (dn * denom)
         self._last = (s, value)
         return value
@@ -175,12 +171,12 @@ def gamma_local(a: complex, place: Place) -> complex:
         numerator = riemann_zeta(1 - a)
         denominator = riemann_zeta(a)
         if abs(denominator) < _POLE_TOL:
-            raise PoleError(f"zeta zero in the denominator at a = {a}", location=a)
+            raise PoleError(f"zeta zero in the denominator at a = {a}")
         return numerator / denominator
     p = place.prime
     denom = 1 - p ** (-a)
     if abs(denom) < _POLE_TOL:
-        raise PoleError(f"pole of the local gamma factor at p = {p}, a = {a}", location=a)
+        raise PoleError(f"pole of the local gamma factor at p = {p}, a = {a}")
     return (1 - p ** (a - 1)) / denom
 
 
@@ -234,31 +230,11 @@ def verify_gamma_product(u: complex) -> GammaProductReport:
         # up; the combined expression cancels to 1.
         return GammaProductReport(u, 0.0, 0j, cmath.inf, True, raw, _RAW_BOUND)
     if abs(z_u) < _POLE_TOL:
-        raise PoleError(f"zeta zero at u = {u} makes the gamma factor at infinity singular", location=u)
+        raise PoleError(f"zeta zero at u = {u} makes the gamma factor at infinity singular")
     gamma_inf = z_cu / z_u
     regularized = z_u / z_cu
     residual = abs(gamma_inf * regularized - 1)
     return GammaProductReport(u, residual, gamma_inf, regularized, False, raw * gamma_inf, _RAW_BOUND)
-
-
-class BetaProductReport(NamedTuple):
-    a: complex
-    b: complex
-    c: complex
-    per_argument: tuple[GammaProductReport, GammaProductReport, GammaProductReport]
-    residual: float
-
-
-def verify_beta_product(a: complex, b: complex) -> BetaProductReport:
-    """Threefold gamma-product check over a, b and c = 1 - a - b."""
-    c = 1 - a - b
-    reports = tuple(verify_gamma_product(u) for u in (a, b, c))
-    combined = 1 + 0j
-    for r in reports:
-        if not r.cancelled:
-            combined *= r.gamma_infinity * r.regularized_product
-    residual = abs(combined - 1)
-    return BetaProductReport(a, b, c, reports, residual)
 
 
 def zeta_local(a: complex, place: Place) -> complex:
@@ -270,7 +246,7 @@ def zeta_local(a: complex, place: Place) -> complex:
     p = place.prime
     denom = 1 - p ** (-a)
     if abs(denom) < _POLE_TOL:
-        raise PoleError(f"pole of the local zeta factor at p = {p}, a = {a}", location=a)
+        raise PoleError(f"pole of the local zeta factor at p = {p}, a = {a}")
     return 1 / denom
 
 
@@ -283,7 +259,7 @@ def zeta_adelic(a: complex) -> complex:
     """
     a = complex(a)
     if abs(a) < _POLE_TOL or abs(a - 1) < _POLE_TOL:
-        raise PoleError("completed zeta has poles at 0 and 1", location=a)
+        raise PoleError("completed zeta has poles at 0 and 1")
     if (
         abs(a.imag) < _POLE_TOL
         and a.real < 0

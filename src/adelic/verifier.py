@@ -330,12 +330,18 @@ def _gamma_eval(args: tuple) -> NumericEvaluation:
 
 
 def _beta_eval(args: tuple) -> NumericEvaluation:
-    report = special.verify_beta_product(args[0], args[1])
+    # the threefold gamma product at a, b and c = 1 - a - b
+    a, b = args
+    reports = [special.verify_gamma_product(u) for u in (a, b, 1 - a - b)]
+    combined = 1 + 0j
+    for r in reports:
+        if not r.cancelled:
+            combined *= r.gamma_infinity * r.regularized_product
     factors = tuple(
         (f"u={format_complex(r.u)}", "cancelled" if r.cancelled else f"residual {r.residual:.3e}")
-        for r in report.per_argument
+        for r in reports
     )
-    return NumericEvaluation(factors, report.residual)
+    return NumericEvaluation(factors, abs(combined - 1))
 
 
 def _functional_eval(args: tuple) -> NumericEvaluation:

