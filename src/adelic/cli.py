@@ -391,6 +391,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser(argv)
     try:
         ns = parser.parse_args(argv)
+        # argparse can leave a one-token positional an empty list around "--";
+        # only verify's args take a list
+        if any(value == [] for name, value in vars(ns).items() if name != "args"):
+            parser.error("an argument next to '--' got no value")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -214,7 +214,9 @@ def ground_state(x: RationalLike) -> WaveFunctionValue:
     """
     x = Fraction(x)
     gate = 1 if x.denominator == 1 else 0
-    t = float(x)
+    # exp(-pi x**2) is 0.0 in doubles once |x| passes about 15.4, so a larger
+    # x, which float() may not convert, is taken as infinite
+    t = float(x) if abs(x) < 16 else math.inf
     return WaveFunctionValue(real_factor=2**0.25 * math.exp(-math.pi * t * t), padic_gate=gate)
 
 

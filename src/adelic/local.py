@@ -256,7 +256,13 @@ class FiniteAdele(_Value):
         self, real_component: RationalLike, exceptional: tuple[tuple[int, RationalLike], ...] = ()
     ) -> None:
         object.__setattr__(self, "real_component", Fraction(real_component))
-        entries = tuple((require_prime(p), Fraction(value)) for p, value in sorted(exceptional))
+        try:
+            pairs = [(p, value) for p, value in exceptional]
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"exceptional components must be (prime, value) pairs, got {exceptional!r}"
+            ) from None
+        entries = tuple((require_prime(p), Fraction(value)) for p, value in sorted(pairs))
         for (p, _), (q, _) in zip(entries, entries[1:]):
             if p == q:
                 raise DomainError(f"prime {p} is listed twice among the exceptional components")

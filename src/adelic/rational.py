@@ -371,7 +371,8 @@ def digit_expansion(x: RationalLike, p: int, n: int) -> DigitExpansion:
     _MAX_DIGIT_BITS bits (n log2 p) raises DomainError as a cost guard.
     """
     require_prime(p)
-    if n * math.log2(p) > _MAX_DIGIT_BITS:
+    # n itself first: n * log2(p) cannot convert an n past the double range
+    if n > _MAX_DIGIT_BITS or n * math.log2(p) > _MAX_DIGIT_BITS:
         raise DomainError(f"{n} base-{p} digits exceed {_MAX_DIGIT_BITS} bits (cost guard)")
     x = Fraction(x)
     if x == 0:

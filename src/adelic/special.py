@@ -162,6 +162,34 @@ class ZetaEvaluator:
 riemann_zeta = ZetaEvaluator()
 
 
+# past |Im a| ln p = 1e8 the phase of p**(-a), rounded to about 2**-53 of
+# itself, is off by more than 1e-8, the default verification tolerance
+_PHASE_BOUND = 1e8
+
+
+def _finite_factor(a: complex, p: int, name: str) -> complex:
+    """The local gamma factor (1 - p**(a-1)) / (1 - p**(-a)) or zeta factor 1 / (1 - p**(-a)).
+
+    Past the phase bound, and where a power or the value leaves the double
+    range, a DomainError names the bound or the range.
+    """
+    if not abs(a.imag) * math.log(p) <= _PHASE_BOUND:
+        raise DomainError(
+            f"the local {name} factor at p = {p} needs |Im a| ln p <= {_PHASE_BOUND:.0e}, "
+            f"where its phase is good to 1e-8; got a = {a}"
+        )
+    try:
+        denom = 1 - p ** (-a)
+        if abs(denom) < _POLE_TOL:
+            raise PoleError(f"pole of the local {name} factor at p = {p}, a = {a}")
+        value = (1 - p ** (a - 1)) / denom if name == "gamma" else 1 / denom
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise DomainError(f"the local {name} factor at p = {p}, a = {a} leaves the double range")
+
+
 def gamma_local(a: complex, place: Place) -> complex:
     """Local gamma factor: (1 - p**(a-1)) / (1 - p**(-a)) at p; zeta(1-a)/zeta(a) at infinity."""
     a = complex(a)
@@ -173,11 +201,7 @@ def gamma_local(a: complex, place: Place) -> complex:
         if abs(denominator) < _POLE_TOL:
             raise PoleError(f"zeta zero in the denominator at a = {a}")
         return numerator / denominator
-    p = place.prime
-    denom = 1 - p ** (-a)
-    if abs(denom) < _POLE_TOL:
-        raise PoleError(f"pole of the local gamma factor at p = {p}, a = {a}")
-    return (1 - p ** (a - 1)) / denom
+    return _finite_factor(a, place.prime, "gamma")
 
 
 def beta_local(a: complex, b: complex, place: Place) -> complex:
@@ -243,11 +267,7 @@ def zeta_local(a: complex, place: Place) -> complex:
     if place.is_infinite:
         g = complex_gamma(a / 2)
         return math.pi ** (-a / 2) * g
-    p = place.prime
-    denom = 1 - p ** (-a)
-    if abs(denom) < _POLE_TOL:
-        raise PoleError(f"pole of the local zeta factor at p = {p}, a = {a}")
-    return 1 / denom
+    return _finite_factor(a, place.prime, "zeta")
 
 
 def zeta_adelic(a: complex) -> complex:

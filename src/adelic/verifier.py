@@ -11,6 +11,7 @@ unsound place set surfaces as a failure instead of a silent wrong answer.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import re
@@ -20,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import gauss, special
 from .local import Place, additive_character, local_abs, places_for
-from .rational import _TRIAL_PRIMES, DomainError, parse_rational, random_rational
+from .rational import _PRIME_LIMIT, _TRIAL_PRIMES, DomainError, parse_rational, random_rational
 from .symbols import ExactFactor, hilbert_symbol, weil_index
 
 EXACT_PASS = "ExactPass"
@@ -29,6 +30,9 @@ FAIL = "Fail"
 
 # the places at the primes in (47, 191], ascending, proven by the sieve
 _SPOT_CHECK_PLACES = places_for(_proven=tuple(p for p in _TRIAL_PRIMES if 47 < p <= 191))[1:]
+
+# a million trials of kernel-product at height 1e9, 0.7 ms each, take 12 minutes
+_MAX_TRIALS = 10**6
 
 _REAL = r"\d+(?:\.\d+)?(?:e[+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^\s*(?P<re>[+-]?{_REAL})(?:(?P<im>[+-]{_REAL})i)?\s*$")
@@ -39,7 +43,10 @@ def parse_complex(token: str) -> complex:
     m = _COMPLEX_RE.match(token)
     if not m:
         raise DomainError(f"{token!r} is not a complex number (use re or re+imi)")
-    return complex(float(m.group("re")), float(m.group("im") or 0))
+    z = complex(float(m.group("re")), float(m.group("im") or 0))
+    if not cmath.isfinite(z):
+        raise DomainError(f"{token!r} leaves the double range")
+    return z
 
 
 def format_complex(z: complex) -> str:
@@ -214,8 +221,12 @@ class Registry:
         fam = self.family(name)
         if trials < 0:
             raise DomainError(f"trial count must be nonnegative, got {trials}")
+        if trials > _MAX_TRIALS:
+            raise DomainError(f"a suite runs at most {_MAX_TRIALS} trials (cost guard), got {trials}")
         if height_bound < 1:  # checked here too: numeric families draw no rationals
             raise DomainError(f"height bound must be at least 1, got {height_bound}")
+        if height_bound > _PRIME_LIMIT:  # a drawn prime past it has no place
+            raise DomainError(f"height bound must be at most 2**64, where primality tests end; got {height_bound}")
         rng = random.Random(seed)
         counts: dict[str, int] = {}
         failures: list[dict] = []

@@ -348,6 +348,12 @@ class TestInputGuards:
         ("mellin", "2", "--tol", "nan"),
         # printed an empty orbit
         (*ORBIT, "--steps", "-2"),
+        # OverflowError: 10**400 * log2(3), an infinite a, a power past the double range
+        ("digits", "7/8", "3", "1" + "0" * 400),
+        ("verify", "functional-equation", "1e400"),
+        ("gamma", "700", "3"),
+        # AttributeError: argparse gave accel an empty list, place "--json"
+        ("kernel", "5", "--", "7", "--", "-inf", "--json"),
     ])
     def test_exits_2_without_traceback(self, argv):
         result = run_process(*argv, timeout=30)
@@ -358,6 +364,8 @@ class TestInputGuards:
     @pytest.mark.parametrize("argv", [
         (*ORBIT, "--steps", "100000"),  # cubic in the steps: 23.8 s at 4000
         ("digits", "1/3", "2", "100000"),  # quadratic in the digits
+        ("suite", "norm-product", "--trials", str(2**61 - 1)),  # ran for ages
+        ("suite", "norm-product", "--trials", "1", "--height", "1" + "0" * 400),  # 11 s of rho
     ])
     def test_cost_guard_answers_within_a_second(self, capsys, argv):
         result = run_process(*argv, timeout=30)

@@ -147,6 +147,21 @@ PARSER = (
 )
 
 
+# finite-place factors past the double range or the phase bound (exit 2), and
+# a vacuum point past the double range, where the value is 0
+RANGE = (
+    "gamma 700 3",
+    "gamma -1e10 3",
+    "zeta -1e4 3",
+    "beta 1e4 1 2",
+    "gamma 1e10 2305843009213693951",
+    "gamma 0.5+1e300i 3",
+    "zeta 0.5+1e300i 3",
+    "beta 0.5+1e300i 1 3",
+    "wavefn 1" + "0" * 400,
+)
+
+
 def _toggle_json(cmd: str) -> str:
     return cmd.replace(" --json", "") if "--json" in cmd else cmd + " --json"
 
@@ -170,6 +185,7 @@ CASES = tuple(dict.fromkeys(
     + FAILURES
     + USAGE
     + PARSER
+    + RANGE
 ))
 
 

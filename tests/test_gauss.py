@@ -311,6 +311,14 @@ class TestGroundState:
     def test_origin(self):
         assert math.isclose(ground_state(0).value, 2**0.25)
 
+    @pytest.mark.parametrize("x, gate", [
+        (16, 1), (Fraction(-33, 2), 0), (10**400, 1), (Fraction(-(10**400), 3), 0), (Fraction(10**401, 7), 0),
+    ])
+    def test_past_the_double_range_the_real_factor_is_zero(self, x, gate):
+        # exp(-pi x**2) is 0.0 from |x| = 15.5 on; float(x) overflows at 10**400
+        assert math.exp(-math.pi * 15.5**2) == 0.0
+        assert ground_state(x) == (0.0, gate)
+
     def test_gate_matches_indicator_product(self):
         from adelic.local import integer_indicator
         from adelic.rational import support

@@ -227,3 +227,12 @@ class TestFiniteAdele:
         # component() would silently return the first of the two
         with pytest.raises(DomainError, match="prime [35] is listed twice"):
             build()
+
+    @pytest.mark.parametrize("exceptional", [
+        {2: Fraction(1, 2)},
+        (2,),
+        ((2, Fraction(1, 2), 3),),
+    ])
+    def test_an_entry_that_is_not_a_pair_is_rejected(self, exceptional):
+        with pytest.raises(DomainError, match=r"must be \(prime, value\) pairs"):
+            FiniteAdele(Fraction(7, 8), exceptional)

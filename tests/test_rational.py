@@ -326,6 +326,11 @@ class TestDigits:
         with pytest.raises(DomainError, match="cost guard"):
             digit_expansion(Fraction(1, 3), p, n)
 
+    def test_cost_guard_past_the_double_range(self):
+        # n * log2(p) cannot convert n = 10**400 to a float
+        with pytest.raises(DomainError, match="cost guard"):
+            digit_expansion(Fraction(7, 8), 3, 10**400)
+
     @pytest.mark.parametrize("p", [2, 3, 97])
     def test_equals_one_divmod_per_digit(self, p):
         rng = random.Random(p)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import sys
@@ -246,6 +247,47 @@ class TestGammaLocal:
             except PoleError:
                 continue
             assert abs(prod - 1) < 1e-12
+
+
+class TestFiniteRange:
+    """The local gamma and zeta factors at a prime, past the double range and the phase bound."""
+
+    @pytest.mark.parametrize("a, p", [(700, 3), (-1e10, 3), (1e10, 2**61 - 1), (complex(math.inf, 0), 2),
+                                      (complex(-math.inf, 0), 5)])
+    def test_gamma_past_the_double_range(self, a, p):
+        with pytest.raises(DomainError, match="leaves the double range") as info:
+            gamma_local(a, Place(p))
+        assert not isinstance(info.value, PoleError)
+
+    @pytest.mark.parametrize("a", [-1e4, -647, complex(math.inf, 0), complex(-math.inf, 0)])
+    def test_zeta_past_the_double_range(self, a):
+        with pytest.raises(DomainError, match="leaves the double range"):
+            zeta_local(a, P3)
+
+    @pytest.mark.parametrize("a", [0.5 + 1e300j, 2 - 1e8j, complex(1, math.inf), complex(1, math.nan)])
+    def test_past_the_phase_bound(self, a):
+        for factor in (gamma_local, zeta_local):
+            with pytest.raises(DomainError, match=r"needs \|Im a\| ln p <= 1e\+08"):
+                factor(a, P3)
+
+    def test_within_the_bounds(self):
+        # 3**646 and 3**-646 stay in range; a power below the range is 0
+        assert abs(zeta_local(-646, P3) + 3.0**-646) < 1e-300
+        assert abs(gamma_local(646, P3) + 3.0**645) / 3.0**645 < 1e-12
+        assert zeta_local(1e4, P3) == 1
+        t = 0.99e8 / math.log(47)
+        for factor in (gamma_local, zeta_local):
+            assert cmath.isfinite(factor(0.5 + t * 1j, Place(47)))
+
+    def test_the_bounds_leave_every_value_in_range_unchanged(self):
+        # the range rule adds checks, not operations
+        rng = random.Random(61)
+        for _ in range(200):
+            a = complex(rng.uniform(-100, 100), rng.uniform(-265.7, 265.7))
+            p = rng.choice((2, 3, 5, 47))
+            denom = 1 - p ** (-a)
+            assert zeta_local(a, Place(p)) == 1 / denom
+            assert gamma_local(a, Place(p)) == (1 - p ** (a - 1)) / denom
 
 
 class TestBetaLocal:

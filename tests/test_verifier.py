@@ -43,6 +43,11 @@ class TestParseComplex:
         with pytest.raises(DomainError):
             parse_complex(token)
 
+    @pytest.mark.parametrize("token", ["1e400", "-1e309", "0.5+1e400i", "1" + "0" * 400])
+    def test_rejects_a_part_past_the_double_range(self, token):
+        with pytest.raises(DomainError, match="leaves the double range"):
+            parse_complex(token)
+
     @pytest.mark.parametrize(
         "z",
         [1e-5 + 2j, 2 + 1e-5j, -3.5e-7 - 1e-6j, 1e16 + 0j, 0.1 - 123456789012j, -1.5 - 2j],
@@ -251,6 +256,21 @@ class TestReports:
                 with pytest.raises(DomainError, match="^height bound must be at least 1, got 0$"):
                     registry.random_suite(name, trials, 0, seed=1)
 
+    @pytest.mark.parametrize("trials, height, match", [
+        (10**6 + 1, 10, "at most 1000000 trials"),
+        (2**61 - 1, 10, "at most 1000000 trials"),
+        (1, 2**64 + 1, "at most 2[*][*]64"),
+        (0, 10**400, "at most 2[*][*]64"),
+    ])
+    def test_cost_guards_raise_before_any_trial(self, registry, trials, height, match):
+        for name in registry.names():
+            with pytest.raises(DomainError, match=match):
+                registry.random_suite(name, trials, height, seed=1)
+
+    def test_height_up_to_the_primality_range(self, registry):
+        report = registry.random_suite("kernel-product", 3, 2**64, seed=1)
+        assert report.all_passed
+
     def test_numeric_suite(self, registry):
         report = registry.random_suite("functional-equation", 10, 10, seed=4)
         assert dict(report.verdicts) == {"NumericPass": 10}
@@ -340,6 +360,23 @@ class TestProductHelpers:
         report = REGISTRY.verify("lambda-product", (Fraction(3),))
         assert report.verdict == FAIL
         assert report.diagnostic.startswith("unsound place set")
+
+
+class TestRawPartialProduct:
+    """u = 2 pi i / ln p is a pole of the local gamma factor at p.
+
+    The regularized gamma product evaluates no local factor; only the unread
+    raw partial product over the primes up to 47 does.
+    """
+
+    def test_a_pole_past_the_raw_bound_passes(self):
+        report = REGISTRY.verify("gamma-product", (parse_complex("0+1.5825499595464696i"),))  # p = 53
+        assert report.verdict == NUMERIC_PASS
+
+    @pytest.mark.xfail(strict=True, raises=DomainError, reason="unread raw partial product; ROADMAP item 9")
+    def test_a_pole_within_the_raw_bound_passes(self):
+        report = REGISTRY.verify("gamma-product", (parse_complex("0+1.6319336184381306i"),))  # p = 47
+        assert report.verdict == NUMERIC_PASS
 
 
 class TestDoubleRange:
