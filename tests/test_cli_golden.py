@@ -162,6 +162,15 @@ RANGE = (
 )
 
 
+# the gamma and beta products where a factor cancels: zeta(1 - u) vanishes at
+# u = 3, so the gamma product there and the beta product at (3, -5, 3) print
+# "cancelled" for that factor
+CANCELLED = (
+    "verify gamma-product 3 --json",
+    "verify beta-product 3 -5 --json",
+)
+
+
 def _toggle_json(cmd: str) -> str:
     return cmd.replace(" --json", "") if "--json" in cmd else cmd + " --json"
 
@@ -186,6 +195,7 @@ CASES = tuple(dict.fromkeys(
     + USAGE
     + PARSER
     + RANGE
+    + CANCELLED
 ))
 
 
