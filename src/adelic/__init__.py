@@ -53,7 +53,6 @@ from .special import (
     gamma_local,
     mellin_vacuum,
     riemann_zeta,
-    verify_gamma_product,
     zeta_adelic,
     zeta_local,
 )

@@ -1,5 +1,6 @@
-"""Local gamma, beta and zeta functions, their regularized adelic products,
-the completed zeta functional equation, and the vacuum Mellin transform.
+"""Local gamma, beta and zeta functions, the Riemann and completed zeta
+functions, and the vacuum Mellin transform; the product identities they
+enter are checked in the verifier's registry.
 
 Exactness is impossible here (values live in C), so this module is the
 library's numeric wing: double precision, explicit pole policy, and residual
@@ -16,7 +17,7 @@ from itertools import repeat
 from operator import add, mul, neg, sub
 from typing import NamedTuple
 
-from .local import INFINITY_PLACE, Place, places_for
+from .local import INFINITY_PLACE, Place
 from .rational import _TRIAL_PRIMES, DomainError, primes_up_to
 
 _POLE_TOL = 1e-8
@@ -214,51 +215,6 @@ def beta_local(a: complex, b: complex, place: Place) -> complex:
         except DomainError as exc:
             raise DomainError(f"beta argument {name} = {u}: {exc}") from exc
     return values[0] * values[1] * values[2]
-
-
-class GammaProductReport(NamedTuple):
-    """Regularized gamma product at u with diagnostics.
-
-    The product over finite places is regularized to zeta(u)/zeta(1-u); at
-    trivial zeros of zeta(1-u) the combined expression is cancelled to 1
-    before evaluation and flagged.  raw_partial is the literal, divergent
-    partial product over small primes, reported only as a trend diagnostic.
-    """
-
-    u: complex
-    residual: float
-    gamma_infinity: complex
-    regularized_product: complex
-    cancelled: bool
-    raw_partial: complex
-    raw_partial_bound: int
-
-
-# the places of the raw partial product, at the primes up to 47, proven by the sieve
-_RAW_BOUND = 47
-_SMALL_PRIME_PLACES = places_for(_proven=tuple(p for p in _TRIAL_PRIMES if p <= _RAW_BOUND))[1:]
-
-
-def verify_gamma_product(u: complex) -> GammaProductReport:
-    """Check gamma_infinity(u) times the regularized finite-place product is 1."""
-    u = complex(u)
-    if abs(u) < _POLE_TOL or abs(u - 1) < _POLE_TOL:
-        raise DomainError("the gamma product excludes u = 0 and u = 1")
-    z_u = riemann_zeta(u)
-    z_cu = riemann_zeta(1 - u)
-    raw = 1 + 0j
-    for place in _SMALL_PRIME_PLACES:
-        raw *= gamma_local(u, place)
-    if abs(z_cu) < _POLE_TOL:
-        # gamma_infinity vanishes exactly where the regularized product blows
-        # up; the combined expression cancels to 1.
-        return GammaProductReport(u, 0.0, 0j, cmath.inf, True, raw, _RAW_BOUND)
-    if abs(z_u) < _POLE_TOL:
-        raise PoleError(f"zeta zero at u = {u} makes the gamma factor at infinity singular")
-    gamma_inf = z_cu / z_u
-    regularized = z_u / z_cu
-    residual = abs(gamma_inf * regularized - 1)
-    return GammaProductReport(u, residual, gamma_inf, regularized, False, raw * gamma_inf, _RAW_BOUND)
 
 
 def zeta_local(a: complex, place: Place) -> complex:

@@ -51,7 +51,6 @@ from adelic.special import (
     gamma_local,
     mellin_vacuum,
     riemann_zeta,
-    verify_gamma_product,
 )
 from adelic.symbols import (
     EighthRoot,
@@ -238,7 +237,7 @@ def test_gamma_reflection_and_regularized_products():
         u = -2.5
         while u <= 3.5:
             if not any(abs(u - c) < 0.2 for c in (0.0, 1.0, -2.0)):
-                assert verify_gamma_product(u).residual < 1e-9
+                assert REGISTRY.verify("gamma-product", (complex(u),)).residual < 1e-9
             u += 0.25
         done = 0
         while done < 30:
@@ -505,7 +504,6 @@ def _plain_records():
         digit_expansion(Fraction(7, 8), 2, 3),
         FiniteAdele(Fraction(1, 2)).is_valid(),
         ground_state(Fraction(1, 2)),
-        verify_gamma_product(2),
         REGISTRY.verify("beta-product", (0.25, 0.5)),
         mellin_vacuum(2.0),
         REGISTRY.family("gamma-product").evaluate((2,)),
@@ -522,7 +520,7 @@ def _plain_records():
 def test_plain_records_are_immutable():
     with criterion("no field of a plain record can be assigned"):
         records = _plain_records()
-        assert len({type(r) for r in records}) == 13
+        assert len({type(r) for r in records}) == 12
         for record in records:
             for name in type(record)._fields:
                 with pytest.raises(AttributeError):

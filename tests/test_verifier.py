@@ -6,10 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from adelic import local, special, verifier
+from adelic import local, verifier
 from adelic.local import Place, places_for
 from adelic.rational import DomainError, factorize, parse_rational, require_prime
-from adelic.special import verify_gamma_product
 from adelic.symbols import EighthRoot, ExactFactor, weil_index
 from adelic.verifier import (
     EXACT_PASS,
@@ -193,8 +192,8 @@ class TestConstantPlaces:
         return primes
 
     def test_gamma_product_checks_no_prime(self, checked):
-        report = verify_gamma_product(2.5 + 0.5j)
-        assert report.raw_partial_bound == 47
+        report = REGISTRY.verify("gamma-product", (2.5 + 0.5j,))
+        assert report.verdict == NUMERIC_PASS
         assert checked == []
 
     def test_spot_check_checks_only_the_support(self, registry, checked):
@@ -208,13 +207,13 @@ class TestConstantPlaces:
         # the spot check's crc32 index reads a position in its pool, so the
         # order pins which place a report names
         spot = verifier._SPOT_CHECK_PLACES
-        raw = special._SMALL_PRIME_PLACES
-        assert all(type(v) is Place for v in spot + raw)
+        screen = verifier._SCREEN_PLACES
+        assert all(type(v) is Place for v in spot + screen)
         assert [v.prime for v in spot] == [
             53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109,
             113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191,
         ]
-        assert [v.prime for v in raw] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+        assert [v.prime for v in screen] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
 class TestReports:
@@ -365,15 +364,15 @@ class TestProductHelpers:
 class TestRawPartialProduct:
     """u = 2 pi i / ln p is a pole of the local gamma factor at p.
 
-    The regularized gamma product evaluates no local factor; only the unread
-    raw partial product over the primes up to 47 does.
+    The regularized gamma product needs no local factor; only the pole screen
+    at the primes up to 47, whose values nothing reads, evaluates them.
     """
 
     def test_a_pole_past_the_raw_bound_passes(self):
         report = REGISTRY.verify("gamma-product", (parse_complex("0+1.5825499595464696i"),))  # p = 53
         assert report.verdict == NUMERIC_PASS
 
-    @pytest.mark.xfail(strict=True, raises=DomainError, reason="unread raw partial product; ROADMAP item 9")
+    @pytest.mark.xfail(strict=True, raises=DomainError, reason="pole screen at the primes up to 47; ROADMAP item 9")
     def test_a_pole_within_the_raw_bound_passes(self):
         report = REGISTRY.verify("gamma-product", (parse_complex("0+1.6319336184381306i"),))  # p = 47
         assert report.verdict == NUMERIC_PASS
