@@ -47,9 +47,12 @@ def complex_gamma(z: complex) -> complex:
     """Classical gamma function on C, Lanczos approximation with reflection.
 
     Where sin(pi z) or the Lanczos power overflows a double (large |Im z| on
-    the left, real z past about 142.4), a DomainError names the double range.
+    the left, real z past about 142.4), a DomainError names the double range;
+    a z that is not finite raises DomainError too.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"complex_gamma needs a finite z, got {z}")
     try:
         if z.real < 0.5:
             if abs(z.imag) < _POLE_TOL and abs(z.real - round(z.real)) < _POLE_TOL and round(z.real) <= 0:
@@ -135,6 +138,8 @@ class ZetaEvaluator:
                 f"riemann_zeta needs |Im s| < {self.max_imag:.2f}, where its series "
                 f"stays within the double range; got s = {s}"
             )
+        if not cmath.isfinite(s):  # the real part: the check above takes a bad Im s
+            raise DomainError(f"riemann_zeta needs a finite s, got {s}")
         if s.real < 0.5:
             # zeta(s) = 2**s pi**(s-1) sin(pi s / 2) gamma(1 - s) zeta(1 - s)
             return (
@@ -234,6 +239,8 @@ def zeta_adelic(a: complex) -> complex:
     point 1 - a.
     """
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise DomainError(f"the completed zeta needs a finite a, got {a}")
     if abs(a) < _POLE_TOL or abs(a - 1) < _POLE_TOL:
         raise PoleError("completed zeta has poles at 0 and 1")
     if (

@@ -293,6 +293,28 @@ class TestFiniteRange:
             assert gamma_local(a, Place(p)) == (1 - p ** (a - 1)) / denom
 
 
+class TestNonFinite:
+    """An argument that is not finite is a DomainError, not nan or a bare error."""
+
+    @pytest.mark.parametrize(
+        "call, arg",
+        [
+            (zeta_adelic, complex(-math.inf, 0)),
+            (complex_gamma, complex(0.5, math.inf)),
+            (riemann_zeta, math.inf),
+            (riemann_zeta, math.nan),
+            (complex_gamma, math.inf),
+            (lambda a: gamma_local(a, INFINITY_PLACE), math.inf),
+            (lambda a: zeta_local(a, INFINITY_PLACE), math.nan),
+        ],
+        ids=["zeta_adelic-inf", "complex_gamma-inf_im", "riemann_zeta-inf", "riemann_zeta-nan",
+             "complex_gamma-inf", "gamma_local-inf", "zeta_local-nan"],
+    )
+    def test_raises_domain_error(self, call, arg):
+        with pytest.raises(DomainError, match="needs a finite"):
+            call(arg)
+
+
 class TestBetaLocal:
     def test_symmetric_third(self):
         g = gamma_local(1 / 3, P3)
