@@ -49,10 +49,16 @@ _PRIME_LIMIT = 1 << 64
 # factorize divides out the primes below this bound before splitting with rho.
 _TRIAL_BOUND = 1000
 
-# Steps of Brent's rho one split may take before factorize gives up.  rho
-# needs about sqrt(q) steps to find a prime factor q, so only factors past
-# about 1e11 come near the cap; trial division needs hours to reach those.
+# Steps of Brent's rho one split of a composite below 2**_RHO_FULL_BITS may
+# take before factorize gives up.  rho needs about sqrt(q) steps to find a
+# prime factor q, so only factors past about 1e11 come near the cap; trial
+# division needs hours to reach those.  A step costs more the larger the
+# composite, at most as the square of its bit length (on a 2-vCPU Xeon, 1 us
+# at 128 bits, 9 us at 1,128 and 870 us at 14,112), so past _RHO_FULL_BITS
+# bits the cap shrinks with that square, and a split gives up within about a
+# second at any size.
 _RHO_STEP_LIMIT = 1 << 20
+_RHO_FULL_BITS = 128
 
 # Steps between two gcds in Brent's rho.
 _RHO_BATCH = 128
@@ -134,8 +140,8 @@ def factorize(n: int) -> dict[int, int]:
     proven prime by Miller-Rabin, found to be a perfect power, whose root is
     factored instead, or split with Brent's rho.  Raises DomainError for a
     cofactor of at least _PSI_12 that passes Miller-Rabin, since the
-    witnesses prove nothing there, and for a split that exceeds
-    _RHO_STEP_LIMIT.
+    witnesses prove nothing there, and for a split that exceeds its rho step
+    cap (_RHO_STEP_LIMIT, scaled down past _RHO_FULL_BITS bits).
     """
     if n == 0:
         raise DomainError("0 has no prime factorization")
@@ -184,6 +190,7 @@ def _rho_split(n: int) -> int:
     steps before each gcd (Brent, BIT 20, 1980).  A run that closes its cycle
     without a proper divisor retries with the next c.
     """
+    limit = _RHO_STEP_LIMIT * _RHO_FULL_BITS**2 // max(_RHO_FULL_BITS, n.bit_length()) ** 2
     steps = 0
     c = 0
     while True:
@@ -191,8 +198,8 @@ def _rho_split(n: int) -> int:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * r
-            if steps > _RHO_STEP_LIMIT:
-                raise DomainError(f"no factor of {n} found within {_RHO_STEP_LIMIT} rho steps")
+            if steps > limit:
+                raise DomainError(f"no factor of {n} found within {limit} rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

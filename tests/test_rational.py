@@ -151,6 +151,18 @@ class TestFactorize:
             factorize((2**64 + 13) * (2**64 + 37))
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize(
+        "n, steps",
+        [((2**61 - 1) * (2**67 - 1), 2**20), ((2**521 - 1) * (2**607 - 1), 2**20 * 128**2 // 1128**2)],
+        ids=["128-bit", "1128-bit"],
+    )
+    def test_rho_cap_shrinks_with_the_square_of_the_bit_length(self, n, steps):
+        # a step costs more the larger the composite; up to 128 bits the cap is 2**20
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"within {steps} rho steps"):
+            factorize(n)
+        assert time.perf_counter() - start < 2.0
+
     @given(
         st.one_of(
             st.integers(min_value=1, max_value=10**12),
