@@ -53,10 +53,10 @@ _TRIAL_BOUND = 1000
 # take before factorize gives up.  rho needs about sqrt(q) steps to find a
 # prime factor q, so only factors past about 1e11 come near the cap; trial
 # division needs hours to reach those.  A step costs more the larger the
-# composite, at most as the square of its bit length (on a 2-vCPU Xeon, 1 us
-# at 128 bits, 9 us at 1,128 and 870 us at 14,112), so past _RHO_FULL_BITS
-# bits the cap shrinks with that square, and a split gives up within about a
-# second at any size.
+# composite, at most as the square of its bit length (on one CPU of a 2-vCPU
+# Xeon: under 1 us at 128 bits, 9 us at 1,128, 870 us at 14,112), so past
+# _RHO_FULL_BITS bits the cap shrinks with that square, and a split gives up
+# within about a second at any size.
 _RHO_STEP_LIMIT = 1 << 20
 _RHO_FULL_BITS = 128
 
