@@ -118,24 +118,25 @@ def kernel_phase_argument(
     )
 
 
-# (arguments, value) of the last phase argument that kernel or kernel_places
-# computed: one verification asks for it at every place with the same
-# arguments.  One tuple, read once, so a thread race cannot pair one call's
-# arguments with another call's value.
-_last_phase: tuple[tuple, Fraction] = ((), Fraction(0))
+# (arguments, (phase argument, -8T, 4T)) of the last arguments that kernel or
+# kernel_places saw: one verification asks for them at every place with the
+# same arguments.  One tuple, read once, so a thread race cannot pair one
+# call's arguments with another call's values.
+_last_phase: tuple[tuple, tuple[Fraction, Fraction, Fraction]] = ((), ())
 
 
-def _phase_argument(
+def _kernel_terms(
     x_out: RationalLike, x_in: RationalLike, accel: RationalLike, duration: RationalLike
-) -> Fraction:
-    # kernel_phase_argument, remembered for the last arguments
+) -> tuple[Fraction, Fraction, Fraction]:
+    # kernel_phase_argument, -8T and 4T, remembered for the last arguments
     global _last_phase
     key = (x_out, x_in, accel, duration)
-    last_key, value = _last_phase
+    last_key, terms = _last_phase
     if key != last_key:
-        value = kernel_phase_argument(x_out, x_in, accel, duration)
-        _last_phase = (key, value)
-    return value
+        T = _duration(duration)
+        terms = (kernel_phase_argument(x_out, x_in, accel, duration), -8 * T, 4 * T)
+        _last_phase = (key, terms)
+    return terms
 
 
 def kernel(
@@ -150,11 +151,11 @@ def kernel(
     Exact three-part value: weil_index(-8T) * |4T|**(-1/2) * character of the
     cubic-in-T phase polynomial, all in rational arithmetic.
     """
-    T = _duration(duration)
+    phase, root_argument, abs_argument = _kernel_terms(x_out, x_in, accel, duration)
     return ExactFactor(
-        weil_index(-8 * T, place),
-        1 / local_abs(4 * T, place),
-        additive_character(_phase_argument(x_out, x_in, accel, duration), place),
+        weil_index(root_argument, place),
+        1 / local_abs(abs_argument, place),
+        additive_character(phase, place),
     )
 
 
@@ -172,7 +173,7 @@ def kernel_places(
     the denominator itself is never factored.
     """
     T = _duration(duration)
-    den = _phase_argument(x_out, x_in, accel, duration).denominator
+    den = _kernel_terms(x_out, x_in, accel, duration)[0].denominator
     candidates = denominator_places(x_out, x_in, accel) | {3}
     extra = tuple(p for p in candidates if den % p == 0)
     # 2, 3 and the primes factorize proved for denominator_places

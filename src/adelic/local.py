@@ -188,8 +188,9 @@ def local_abs(x: RationalLike, place: Place) -> Fraction:
         return abs(x)
     if x == 0:
         return Fraction(0)
-    v = _valuation(x, place.prime)
-    return Fraction(place.prime) ** (-int(v))
+    p = place.prime
+    v = _valuation(x, p)
+    return Fraction(1, p**v) if v > 0 else Fraction(p**-v)
 
 
 def frac_part(x: RationalLike, p: int) -> Fraction:

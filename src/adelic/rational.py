@@ -306,8 +306,15 @@ def unit_part(x: RationalLike, p: int) -> Fraction:
     x = Fraction(x)
     if x == 0:
         raise DomainError("0 has no unit part")
-    v = valuation(x, p)
-    return x / Fraction(p) ** v
+    return Fraction(*_unit_parts(x, p, valuation(x, p)))
+
+
+def _unit_parts(x: Fraction, p: int, v: int) -> tuple[int, int]:
+    # numerator and denominator of x / p**v, v the valuation of x != 0 at p:
+    # p**|v| divides one part of the reduced x, so the quotient stays reduced
+    if v > 0:
+        return x.numerator // p**v, x.denominator
+    return x.numerator, x.denominator // p**-v
 
 
 def support(x: RationalLike) -> tuple[int, ...]:
@@ -387,9 +394,9 @@ def digit_expansion(x: RationalLike, p: int, n: int) -> DigitExpansion:
     if n < 1:
         raise DomainError("digit count must be positive")
     v = _valuation(x, p)
-    u = x / Fraction(p) ** v
+    a, b = _unit_parts(x, p, v)
     modulus = p**n
-    residue = u.numerator * pow(u.denominator, -1, modulus) % modulus
+    residue = a * pow(b, -1, modulus) % modulus
     digits: list[int] = []
     _base_digits(residue, p, n, digits)
     return DigitExpansion(valuation=int(v), digits=tuple(digits), prime=p)

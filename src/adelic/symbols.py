@@ -15,6 +15,7 @@ from .local import _PHASE_ONE, Place, RootOfUnity, _Value
 from .rational import (
     DomainError,
     RationalLike,
+    _unit_parts,
     _valuation,
     require_prime,
 )
@@ -155,15 +156,16 @@ def _legendre(a: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-def _legendre_of_unit(u: Fraction, p: int) -> int:
+def _legendre_of_unit(u: tuple[int, int], p: int) -> int:
     # (num/den / p) = (num/p)(den/p) since the symbol is multiplicative and
-    # squares drop out; u is a p-adic unit, so neither part vanishes.
-    return _legendre(u.numerator, p) * _legendre(u.denominator, p)
+    # squares drop out; u = (num, den) is a p-adic unit, so neither part vanishes.
+    return _legendre(u[0], p) * _legendre(u[1], p)
 
 
-def _unit_mod8(u: Fraction) -> int:
-    # u a 2-adic unit: odd/odd; resolve modulo 8
-    return u.numerator * pow(u.denominator, -1, 8) % 8
+def _unit_mod8(u: tuple[int, int]) -> int:
+    # u = (num, den) a 2-adic unit, odd/odd, resolved modulo 8; an odd square
+    # is 1 mod 8, so den is its own inverse there
+    return u[0] * u[1] % 8
 
 
 def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
@@ -183,8 +185,8 @@ def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
     p = place.prime
     alpha = int(_valuation(x, p))
     beta = int(_valuation(y, p))
-    u = x / Fraction(p) ** alpha
-    w = y / Fraction(p) ** beta
+    u = _unit_parts(x, p, alpha)
+    w = _unit_parts(y, p, beta)
     if p != 2:
         eps = (p - 1) // 2
         sign = -1 if (alpha * beta * eps) % 2 else 1
@@ -224,11 +226,11 @@ def weil_index(x: RationalLike, place: Place) -> EighthRoot:
         if v % 2 == 0:
             return EighthRoot.one()
         k = 0 if p % 4 == 1 else 2
-        if _legendre_of_unit(x / Fraction(p) ** v, p) == -1:
+        if _legendre_of_unit(_unit_parts(x, p, v), p) == -1:
             k += 4
         return EighthRoot(k)
     # the unit part is 1 + 2 x1 + 4 x2 modulo 8, with x1, x2 its second and third digits
-    u8 = _unit_mod8(x / Fraction(2) ** v)
+    u8 = _unit_mod8(_unit_parts(x, 2, v))
     if v % 2 == 0:
         return EighthRoot(1 - (u8 & 2))
     return EighthRoot(u8)

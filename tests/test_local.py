@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,8 +20,18 @@ from adelic.local import (
 )
 from adelic import rational
 from adelic.gauss import padic_gauss_oracle
-from adelic.rational import DomainError, digit_expansion, is_prime, support, unit_part, valuation
-from adelic.symbols import legendre_symbol
+from adelic.rational import (
+    DomainError,
+    digit_expansion,
+    factorize,
+    is_prime,
+    support,
+    unit_part,
+    valuation,
+)
+from adelic.symbols import hilbert_symbol, legendre_symbol, weil_index
+
+from oracles import digits_by_division
 
 P2, P3, P5, P7 = (Place(p) for p in (2, 3, 5, 7))
 
@@ -236,3 +247,87 @@ class TestFiniteAdele:
     def test_an_entry_that_is_not_a_pair_is_rejected(self, exceptional):
         with pytest.raises(DomainError, match=r"must be \(prime, value\) pairs"):
             FiniteAdele(Fraction(7, 8), exceptional)
+
+
+# the largest prime below 10**6
+_PRIME_NEAR_A_MILLION = 999_983
+
+
+def _draw(rng: random.Random, exponent: int) -> tuple[Fraction, set[int]]:
+    """A nonzero rational of height 10**exponent, either sign, and primes covering its support.
+
+    Past 10**12 the numerator and the denominator are products of four draws
+    up to 10**(exponent / 4), which factorize splits at once; a uniform
+    40-digit integer can have two prime factors past the reach of rho.
+    """
+    pieces = 4 if exponent > 12 else 1
+    num, den = ([rng.randint(1, 10 ** (exponent // pieces)) for _ in range(pieces)] for _ in range(2))
+    primes = {p for n in num + den for p in factorize(n)}
+    return Fraction(rng.choice((-1, 1)) * math.prod(num), math.prod(den)), primes
+
+
+def _unit_by_division(x: Fraction, p: int) -> tuple[int, Fraction]:
+    # the valuation and the unit part x / p**v, by Fraction division
+    v = int(valuation(x, p))
+    return v, x / Fraction(p) ** v
+
+
+def _sign(exponent: int) -> int:
+    return -1 if exponent % 2 else 1
+
+
+def _legendre_of(u: Fraction, p: int) -> int:
+    return legendre_symbol(u.numerator, p) * legendre_symbol(u.denominator, p)
+
+
+def _mod8(u: Fraction) -> int:
+    return u.numerator * pow(u.denominator, -1, 8) % 8
+
+
+def _hilbert_by_division(x: Fraction, y: Fraction, p: int) -> int:
+    # Serre, A Course in Arithmetic, ch. III, Theorem 1, on units found by division
+    alpha, u = _unit_by_division(x, p)
+    beta, w = _unit_by_division(y, p)
+    if p != 2:
+        sign = _sign(alpha * beta * (p - 1) // 2)
+        return sign * _legendre_of(u, p) ** (beta % 2) * _legendre_of(w, p) ** (alpha % 2)
+    u8, w8 = _mod8(u), _mod8(w)
+    eps = [(t - 1) // 2 for t in (u8, w8)]
+    omega = [(t * t - 1) // 8 for t in (u8, w8)]
+    return _sign(eps[0] * eps[1] + alpha * omega[1] + beta * omega[0])
+
+
+def _weil_exponent_by_division(x: Fraction, p: int) -> int:
+    # k of the Weil index exp(i*pi*k/4), on the unit found by division
+    v, u = _unit_by_division(x, p)
+    if p != 2:
+        if v % 2 == 0:
+            return 0
+        return (0 if p % 4 == 1 else 2) + (4 if _legendre_of(u, p) == -1 else 0)
+    u8 = _mod8(u)
+    return u8 if v % 2 else (1 - (u8 & 2)) % 8
+
+
+class TestUnitPartsPastAMillion:
+    """The per-place functions take unit parts by integer division.
+
+    Seeded draws up to height 10**40 check them against the formulas on
+    x / Fraction(p) ** v and Fraction(p) ** -v, kept here as the reference, at
+    2, 3, 5, a prime near 10**6 and every prime of each draw's support.
+    """
+
+    @pytest.mark.parametrize("exponent", [1, 6, 12, 40])
+    def test_match_fraction_division(self, exponent):
+        rng = random.Random(1800 + exponent)
+        for _ in range(100):
+            (x, x_primes), (y, y_primes) = _draw(rng, exponent), _draw(rng, exponent)
+            for p in sorted({2, 3, 5, _PRIME_NEAR_A_MILLION} | x_primes | y_primes):
+                place = Place(p)
+                for a in (x, -x):
+                    v, u = _unit_by_division(a, p)
+                    assert unit_part(a, p) == u
+                    assert local_abs(a, place) == Fraction(p) ** -v
+                    assert digit_expansion(a, p, 6) == digits_by_division(a, p, 6)
+                    assert weil_index(a, place).k == _weil_exponent_by_division(a, p), (a, p)
+                    for b in (y, -y):
+                        assert hilbert_symbol(a, b, place) == _hilbert_by_division(a, b, p), (a, b, p)
