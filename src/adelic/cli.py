@@ -364,13 +364,17 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     alone, which is all the top-level help and the invalid-choice error show
     of them.
     """
+    table = commands()
+    # argparse's own usage at 80 columns before 3.13, whose argparse wraps it
+    # differently; the subcommands then take their prog from the parser's name
+    choices = "{" + ",".join(cmd.name for cmd in table) + "}"
     parser = argparse.ArgumentParser(
         prog="adelic",
+        usage=f"%(prog)s [-h]\n{' ' * 14}{choices}\n{' ' * 14}...",
         description="Exact local-field arithmetic and adelic product verification.",
     )
     parser._negative_number_matcher = _VALUE_TOKEN
-    sub = parser.add_subparsers(dest="command", required=True)
-    table = commands()
+    sub = parser.add_subparsers(dest="command", required=True, prog="adelic")
     names = {cmd.name for cmd in table}
     built = {next((token for token in argv if token in names), None)}
     for cmd in table:

@@ -272,6 +272,18 @@ class TestParser:
         parser = build_parser([])
         assert all(a.nargs == 0 for a in parser._actions if a.option_strings)
 
+    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 wraps usage differently")
+    def test_pinned_usage_is_what_argparse_writes(self, monkeypatch):
+        # build_parser pins the top-level usage that argparse itself writes
+        # at the golden's 80 columns, so a new command or top-level option
+        # cannot leave the pinned text stale
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = build_parser([])
+        pinned = parser.format_usage()
+        parser.usage = None
+        assert pinned == parser.format_usage()
+        assert pinned.startswith("usage: adelic [-h]\n")
+
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["adelic", "norm", "7/8", "2"])
         assert main() == 0
