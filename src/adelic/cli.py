@@ -366,7 +366,7 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """
     table = commands()
     # argparse's own usage at 80 columns before 3.13, whose argparse wraps it
-    # differently; the subcommands then take their prog from the parser's name
+    # differently; prog= below keeps each subcommand's prog from copying it
     choices = "{" + ",".join(cmd.name for cmd in table) + "}"
     parser = argparse.ArgumentParser(
         prog="adelic",
