@@ -29,10 +29,21 @@ class _Value:
     hashes as the tuple of its fields and shows as ``Name(field=value, ...)``.
     Its fields cannot be assigned or deleted: a subclass's ``__init__`` checks
     and normalizes its arguments and stores them with ``object.__setattr__``.
+    Values the library combines from values it built (products, proven places,
+    the eight eighth roots) come from ``_make``, which skips ``__init__``.
     Copies and pickles rebuild the value through ``__init__``.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, *fields: object) -> "_Value":
+        # trusted constructor: the fields, in slot order, are already checked
+        # and normalized, so nothing is checked again
+        value = object.__new__(cls)
+        for name, field in zip(cls.__slots__, fields):
+            object.__setattr__(value, name, field)
+        return value
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -82,9 +93,7 @@ class Place(_Value):
         # bound, whose DomainError the checked constructor raises
         if p >= _PRIME_LIMIT:
             return cls(p)
-        place = object.__new__(cls)
-        object.__setattr__(place, "prime", p)
-        return place
+        return cls._make(p)
 
     @property
     def is_infinite(self) -> bool:
@@ -143,18 +152,27 @@ def denominator_places(*rationals: RationalLike) -> set[int]:
     return primes
 
 
+def _require_rational(x: object, name: str) -> RationalLike:
+    # an exact value takes an int or a Fraction; Fraction() would also read a
+    # float's binary expansion or parse a string, and a bool is no number here
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    raise DomainError(f"{name} must be an int or a Fraction, got {x!r}")
+
+
 class RootOfUnity(_Value):
     """Exact point exp(2*pi*i*phase) on the unit circle, phase rational in [0,1).
 
     The group law is exact phase addition mod 1.  The complex rendering is for
-    display only and must never be used for comparisons.
+    display only and must never be used for comparisons.  The phase must be an
+    int or a Fraction: a float or a string raises DomainError.
     """
 
     __slots__ = ("phase",)
     phase: Fraction
 
     def __init__(self, phase: RationalLike) -> None:
-        object.__setattr__(self, "phase", Fraction(phase) % 1)
+        object.__setattr__(self, "phase", Fraction(_require_rational(phase, "phase")) % 1)
 
     @staticmethod
     def one() -> "RootOfUnity":
@@ -165,7 +183,9 @@ class RootOfUnity(_Value):
         return self.phase == 0
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.phase + other.phase)
+        # both phases lie in [0, 1), so their sum is reduced by one subtraction
+        phase = self.phase + other.phase
+        return RootOfUnity._make(phase - 1 if phase >= 1 else phase)
 
     def to_complex(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.phase))

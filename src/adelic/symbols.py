@@ -11,7 +11,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .local import _PHASE_ONE, Place, RootOfUnity, _Value
+from .local import _PHASE_ONE, Place, RootOfUnity, _require_rational, _Value
 from .rational import (
     DomainError,
     RationalLike,
@@ -22,7 +22,10 @@ from .rational import (
 
 
 class EighthRoot(_Value):
-    """Exact eighth root of unity exp(i*pi*k/4), k an integer taken mod 8."""
+    """Exact eighth root of unity exp(i*pi*k/4), k an integer taken mod 8.
+
+    The library's own roots are the eight shared instances ``_ROOTS[k]``.
+    """
 
     __slots__ = ("k",)
     k: int
@@ -34,14 +37,14 @@ class EighthRoot(_Value):
 
     @staticmethod
     def one() -> "EighthRoot":
-        return _ROOT_ONE
+        return _ROOTS[0]
 
     @property
     def is_one(self) -> bool:
         return self.k == 0
 
     def __mul__(self, other: "EighthRoot") -> "EighthRoot":
-        return EighthRoot(self.k + other.k)
+        return _ROOTS[(self.k + other.k) % 8]
 
     def to_complex(self) -> complex:
         return cmath.exp(1j * cmath.pi * self.k / 4)
@@ -50,7 +53,7 @@ class EighthRoot(_Value):
         return "1" if self.k == 0 else f"exp(i*pi*{self.k}/4)"
 
 
-_ROOT_ONE = EighthRoot(0)
+_ROOTS = tuple(EighthRoot._make(k) for k in range(8))
 
 
 def _sqrt_exact(q: Fraction) -> Fraction | None:
@@ -67,8 +70,8 @@ def _sqrt_exact(q: Fraction) -> Fraction | None:
 class ExactFactor(_Value):
     """Exact value of one local factor: eighth root x sqrt(mag2) x root of unity.
 
-    mag2 is the squared magnitude, a positive rational, so products of
-    half-integer powers of rationals stay exactly representable.
+    mag2 is the squared magnitude, a positive rational (an int or a Fraction),
+    so products of half-integer powers of rationals stay exactly representable.
     """
 
     __slots__ = ("root", "mag2", "phase")
@@ -77,7 +80,7 @@ class ExactFactor(_Value):
     phase: RootOfUnity
 
     def __init__(self, root: EighthRoot, mag2: RationalLike, phase: RootOfUnity) -> None:
-        mag2 = Fraction(mag2)
+        mag2 = Fraction(_require_rational(mag2, "squared magnitude"))
         if mag2 <= 0:
             raise DomainError("factor magnitude must be positive")
         object.__setattr__(self, "root", root)
@@ -90,12 +93,12 @@ class ExactFactor(_Value):
 
     @classmethod
     def from_magnitude(cls, m: RationalLike) -> "ExactFactor":
-        m = Fraction(m)
-        return cls(_ROOT_ONE, m * m, _PHASE_ONE)
+        m = Fraction(_require_rational(m, "magnitude"))
+        return cls(_ROOTS[0], m * m, _PHASE_ONE)
 
     @classmethod
     def from_phase(cls, phase: RootOfUnity) -> "ExactFactor":
-        return cls(_ROOT_ONE, 1, phase)
+        return cls(_ROOTS[0], 1, phase)
 
     @classmethod
     def from_root(cls, root: EighthRoot) -> "ExactFactor":
@@ -105,14 +108,17 @@ class ExactFactor(_Value):
     def from_sign(cls, sign: int) -> "ExactFactor":
         if sign not in (1, -1):
             raise DomainError(f"sign factor must be +1 or -1, got {sign}")
-        return cls(_ROOT_ONE if sign == 1 else EighthRoot(4), 1, _PHASE_ONE)
+        return cls(_ROOTS[0 if sign == 1 else 4], 1, _PHASE_ONE)
 
     @property
     def is_identity(self) -> bool:
         return self.root.is_one and self.mag2 == 1 and self.phase.is_one
 
     def __mul__(self, other: "ExactFactor") -> "ExactFactor":
-        return ExactFactor(self.root * other.root, self.mag2 * other.mag2, self.phase * other.phase)
+        # the product of two positive Fractions needs no check
+        return ExactFactor._make(
+            self.root * other.root, self.mag2 * other.mag2, self.phase * other.phase
+        )
 
     def to_complex(self) -> complex:
         try:
@@ -136,7 +142,7 @@ class ExactFactor(_Value):
         return "*".join(parts) if parts else "1"
 
 
-_IDENTITY = ExactFactor(_ROOT_ONE, 1, _PHASE_ONE)
+_IDENTITY = ExactFactor(_ROOTS[0], 1, _PHASE_ONE)
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -219,18 +225,18 @@ def weil_index(x: RationalLike, place: Place) -> EighthRoot:
     if x == 0:
         raise DomainError("Weil index undefined at 0")
     if place.is_infinite:
-        return EighthRoot(-1 if x > 0 else 1)
+        return _ROOTS[7 if x > 0 else 1]
     p = place.prime
     v = int(_valuation(x, p))
     if p != 2:
         if v % 2 == 0:
-            return EighthRoot.one()
+            return _ROOTS[0]
         k = 0 if p % 4 == 1 else 2
         if _legendre_of_unit(_unit_parts(x, p, v), p) == -1:
             k += 4
-        return EighthRoot(k)
+        return _ROOTS[k]
     # the unit part is 1 + 2 x1 + 4 x2 modulo 8, with x1, x2 its second and third digits
     u8 = _unit_mod8(_unit_parts(x, 2, v))
     if v % 2 == 0:
-        return EighthRoot(1 - (u8 & 2))
-    return EighthRoot(u8)
+        return _ROOTS[(1 - (u8 & 2)) % 8]
+    return _ROOTS[u8]

@@ -5,18 +5,34 @@ keyword, the fields that instance must hold after normalization, and its
 exact repr.  Equality, hashing, repr, immutability, copying and pickling are
 checked the same way for all six, so the behaviour does not depend on how a
 class is written.
+
+Products of the exact values skip the checking constructors (``_make``), and
+the library's eighth roots are the shared ``_ROOTS``; the last tests hold
+those products equal to the checked construction and keep the checks off the
+multiplication path.
 """
 
 import copy
 import dataclasses
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
+from adelic import gauss
 from adelic.dynamics import MoebiusMap
-from adelic.local import FiniteAdele, Place, RootOfUnity
-from adelic.symbols import EighthRoot, ExactFactor
+from adelic.local import (
+    INFINITY_PLACE,
+    FiniteAdele,
+    Place,
+    RootOfUnity,
+    additive_character,
+    local_abs,
+)
+from adelic.rational import DomainError, random_rational
+from adelic.symbols import _ROOTS, EighthRoot, ExactFactor, weil_index
+from adelic.verifier import default_registry
 
 # (class, positional args, keyword args, fields after normalization, repr)
 CASES = (
@@ -97,10 +113,7 @@ def test_equality_within_the_class_only(cls, args, kwargs, fields, text):
     # another class with equal field values is still a different value
     for other in FIELDS:
         if other is not cls and len(FIELDS[other]) == len(fields):
-            twin = object.__new__(other)
-            for name, field in zip(FIELDS[other], fields):
-                object.__setattr__(twin, name, field)
-            assert value != twin
+            assert value != other._make(*fields)
 
 
 def test_fields_differ_means_values_differ():
@@ -155,3 +168,159 @@ def test_plain_slotted_classes(cls):
     value = next(c[0](*c[1]) for c in CASES if c[0] is cls)
     assert not hasattr(value, "__dict__")
     assert tuple(name for k in cls.__mro__ for name in vars(k).get("__slots__", ())) == FIELDS[cls]
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", True, False, None, 1j], ids=repr)
+def test_exact_constructors_take_only_int_or_fraction(bad):
+    # Fraction() would read a float's binary expansion or parse a string
+    with pytest.raises(DomainError, match="must be an int or a Fraction"):
+        RootOfUnity(bad)
+    with pytest.raises(DomainError, match="must be an int or a Fraction"):
+        ExactFactor(EighthRoot(0), bad, RootOfUnity(0))
+    with pytest.raises(DomainError, match="must be an int or a Fraction"):
+        ExactFactor.from_magnitude(bad)
+
+
+_PLACES = (INFINITY_PLACE,) + tuple(Place(p) for p in (2, 3, 5, 7, 11, 13, 97))
+
+
+def _library_factors(seed: int, n: int) -> list[ExactFactor]:
+    """n factors made by the library's own functions at random places."""
+    rng = random.Random(seed)
+    factors = []
+    while len(factors) < n:
+        place = rng.choice(_PLACES)
+        x, y, z = (random_rational(rng, 2000, nonzero=True) for _ in range(3))
+        factors.append(
+            rng.choice(
+                (
+                    ExactFactor.from_root(weil_index(x, place)),
+                    ExactFactor.from_magnitude(local_abs(x, place)),
+                    ExactFactor.from_phase(additive_character(x, place)),
+                    gauss.gauss_factor(x, y, place),
+                    gauss.kernel(x, y, z, y / x, place),
+                )
+            )
+        )
+    return factors
+
+
+def _checked_product(a: ExactFactor, b: ExactFactor) -> ExactFactor:
+    # the product built through every checking constructor
+    return ExactFactor(
+        EighthRoot(a.root.k + b.root.k),
+        a.mag2 * b.mag2,
+        RootOfUnity(a.phase.phase + b.phase.phase),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trusted_products_equal_the_checked_constructors(seed):
+    factors = _library_factors(seed, 200)
+    running = ExactFactor.identity()
+    for a, b in zip(factors, factors[1:] + factors[:1]):
+        # pairs of factors, and a running product whose values grow
+        for left, right in ((a, b), (running, a)):
+            product = left * right
+            checked = _checked_product(left, right)
+            assert type(product) is ExactFactor
+            assert _fields(product) == _fields(checked)
+            assert _fields(product.root) == _fields(checked.root)
+            assert _fields(product.phase) == _fields(checked.phase)
+            assert type(product.mag2) is Fraction
+            assert type(product.phase) is RootOfUnity
+            assert type(product.phase.phase) is Fraction
+            assert 0 <= product.phase.phase < 1
+            assert product.root is _ROOTS[checked.root.k]
+            assert (hash(product), str(product), repr(product)) == (
+                hash(checked), str(checked), repr(checked)
+            )
+        running = running * a
+
+
+def test_the_library_returns_the_shared_eighth_roots():
+    assert [root.k for root in _ROOTS] == list(range(8))
+    assert all(type(root) is EighthRoot for root in _ROOTS)
+    assert EighthRoot.one() is _ROOTS[0]
+    for j in range(-8, 16):
+        for k in range(-8, 16):
+            assert EighthRoot(j) * EighthRoot(k) is _ROOTS[(j + k) % 8]
+    rng = random.Random(5)
+    for _ in range(500):
+        x = random_rational(rng, 10**6, nonzero=True)
+        place = rng.choice(_PLACES)
+        root = weil_index(x, place)
+        assert root is _ROOTS[root.k]
+        assert gauss.gauss_factor(x, 1, place).root is root
+    for sign, k in ((1, 0), (-1, 4)):
+        assert ExactFactor.from_sign(sign).root is _ROOTS[k]
+
+
+class _InitCounter:
+    """Counts the calls of ExactFactor.__init__ and RootOfUnity.__init__."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {ExactFactor: 0, RootOfUnity: 0}
+        for cls in self.calls:
+            monkeypatch.setattr(cls, "__init__", self._counting(cls, cls.__init__))
+
+    def _counting(self, cls, init):
+        def counted(value, *args, **kwargs):
+            self.calls[cls] += 1
+            init(value, *args, **kwargs)
+
+        return counted
+
+    def snapshot(self) -> tuple[int, int]:
+        return self.calls[ExactFactor], self.calls[RootOfUnity]
+
+
+def test_copies_and_pickles_of_a_product_go_through_init(monkeypatch):
+    a, b = _library_factors(11, 2)
+    product = a * b
+    assert product == _checked_product(a, b)
+    counter = _InitCounter(monkeypatch)
+    twins = [
+        copy.copy(product),
+        copy.deepcopy(product),
+        *(pickle.loads(pickle.dumps(product, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    # copy.copy rebuilds the factor only; deepcopy and pickle its phase too
+    assert counter.calls[ExactFactor] == len(twins)
+    assert counter.calls[RootOfUnity] == len(twins) - 1
+    for twin in twins:
+        assert type(twin) is ExactFactor
+        assert twin == product
+        assert _fields(twin) == _fields(product)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["norm-product", "character-product", "lambda-product", "hilbert-product", "gauss-product",
+     "kernel-product"],
+)
+def test_verify_checks_only_the_factors_never_the_products(monkeypatch, family):
+    # n places build n factors plus one at the spot-check place; the products
+    # folding them together run no checking constructor
+    registry = default_registry()
+    counter = _InitCounter(monkeypatch)
+    multiply = ExactFactor.__dict__["__mul__"]
+    products = []
+
+    def guarded(a, b):
+        before = counter.snapshot()
+        product = multiply(a, b)
+        assert counter.snapshot() == before, "a product ran a checking constructor"
+        products.append(product)
+        return product
+
+    monkeypatch.setattr(ExactFactor, "__mul__", guarded)
+    rng = random.Random(19)
+    for height in (10, 10**3, 10**6) * 10:
+        args = registry.family(family).sample(rng, height)
+        before = counter.snapshot()
+        report = registry.verify(family, args)
+        n = len(report.factors)
+        assert report.verdict == "ExactPass"
+        assert all(count <= n + 1 for count in map(int.__sub__, counter.snapshot(), before))
+    assert products
