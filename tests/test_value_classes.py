@@ -32,7 +32,7 @@ from adelic.local import (
 )
 from adelic.rational import DomainError, random_rational
 from adelic.symbols import _ROOTS, EighthRoot, ExactFactor, weil_index
-from adelic.verifier import default_registry
+from adelic.verifier import EXACT_PASS, default_registry
 
 # (class, positional args, keyword args, fields after normalization, repr)
 CASES = (
@@ -225,8 +225,6 @@ def test_trusted_products_equal_the_checked_constructors(seed):
             checked = _checked_product(left, right)
             assert type(product) is ExactFactor
             assert _fields(product) == _fields(checked)
-            assert _fields(product.root) == _fields(checked.root)
-            assert _fields(product.phase) == _fields(checked.phase)
             assert type(product.mag2) is Fraction
             assert type(product.phase) is RootOfUnity
             assert type(product.phase.phase) is Fraction
@@ -321,6 +319,6 @@ def test_verify_checks_only_the_factors_never_the_products(monkeypatch, family):
         before = counter.snapshot()
         report = registry.verify(family, args)
         n = len(report.factors)
-        assert report.verdict == "ExactPass"
+        assert report.verdict == EXACT_PASS
         assert all(count <= n + 1 for count in map(int.__sub__, counter.snapshot(), before))
     assert products
