@@ -13,8 +13,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .local import Place, _Value, local_abs, places_for
-from .rational import DomainError, RationalLike, _valuation, random_rational
+from .local import Place, _Value, places_for
+from .rational import DomainError, RationalLike, _as_fraction, _valuation, random_rational
 from .symbols import _sqrt_exact
 
 ATTRACTIVE = "attractive"
@@ -50,7 +50,7 @@ class MoebiusMap(_Value):
 
     def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> None:
         for name, entry in zip(self.__slots__, (a, b, c, d)):
-            object.__setattr__(self, name, Fraction(entry))
+            object.__setattr__(self, name, _as_fraction(entry, name))
         if self.a * self.d - self.b * self.c != 1:
             raise DomainError("map must have determinant exactly 1")
 
@@ -144,12 +144,13 @@ class DynamicsReport(NamedTuple):
     irrational_discriminant: Fraction | None
 
 
-def _classify_norm(n: Fraction) -> str:
-    if n < 1:
-        return ATTRACTIVE
-    if n > 1:
-        return REPELLING
-    return INDIFFERENT
+def _classify_at(m: Fraction, place: Place) -> str:
+    # |m| at the place against 1; at a prime p, |m|_p < 1 exactly when v_p(m) > 0
+    if place.is_infinite:
+        size = abs(m)
+        return ATTRACTIVE if size < 1 else REPELLING if size > 1 else INDIFFERENT
+    v = _valuation(m, place.prime)
+    return ATTRACTIVE if v > 0 else REPELLING if v < 0 else INDIFFERENT
 
 
 def classify(f: MoebiusMap) -> DynamicsReport:
@@ -171,7 +172,7 @@ def classify(f: MoebiusMap) -> DynamicsReport:
         m = fp.multiplier
         if places is None:
             places = places_for(m)
-        table = tuple((v, _classify_norm(local_abs(m, v))) for v in places)
+        table = tuple((v, _classify_at(m, v)) for v in places)
         exceptional = tuple(v for v, label in table if label != INDIFFERENT)
         reports.append(FixedPointReport(fp.point, m, table, exceptional))
     return DynamicsReport(tuple(reports), solve.irrational_discriminant)

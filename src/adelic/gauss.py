@@ -18,12 +18,12 @@ from typing import NamedTuple
 
 from .local import (
     Place,
+    _inverse_abs,
     additive_character,
     denominator_places,
-    local_abs,
     places_for,
 )
-from .rational import DomainError, RationalLike, _valuation, require_prime
+from .rational import DomainError, RationalLike, _as_fraction, _valuation, require_prime
 from .symbols import ExactFactor, weil_index
 
 _MAX_ORACLE_MODULUS = 1 << 20
@@ -31,13 +31,13 @@ _MAX_ORACLE_MODULUS = 1 << 20
 
 def gauss_factor(a: RationalLike, b: RationalLike, place: Place) -> ExactFactor:
     """Closed form of the local Gauss integral with quadratic coefficient a != 0."""
-    a = Fraction(a)
-    b = Fraction(b)
+    a = _as_fraction(a, "a")
+    b = _as_fraction(b, "b")
     if a == 0:
         raise DomainError("quadratic coefficient must be nonzero")
-    return ExactFactor(
+    return ExactFactor._make(
         weil_index(a, place),
-        1 / local_abs(2 * a, place),
+        _inverse_abs(2 * a, place),
         additive_character(-b * b / (4 * a), place),
     )
 
@@ -97,7 +97,7 @@ def _scaled_residue(x: Fraction, p: int, shift: int, modulus: int) -> int:
 
 def _duration(duration: RationalLike) -> Fraction:
     # the propagation time T as a Fraction; every kernel formula divides by it
-    T = Fraction(duration)
+    T = _as_fraction(duration, "duration")
     if T == 0:
         raise DomainError("propagation time must be nonzero")
     return T
@@ -108,9 +108,9 @@ def kernel_phase_argument(
 ) -> Fraction:
     """Exact rational argument of the character inside the propagator kernel."""
     T = _duration(duration)
-    lam = Fraction(accel)
-    x2 = Fraction(x_out)
-    x1 = Fraction(x_in)
+    lam = _as_fraction(accel, "accel")
+    x2 = _as_fraction(x_out, "x_out")
+    x1 = _as_fraction(x_in, "x_in")
     return (
         -(lam**2) * T**3 / 24
         + (lam * (x2 + x1) - 2) * T / 4
@@ -128,13 +128,19 @@ _last_phase: tuple[tuple, tuple[Fraction, Fraction, Fraction]] = ((), ())
 def _kernel_terms(
     x_out: RationalLike, x_in: RationalLike, accel: RationalLike, duration: RationalLike
 ) -> tuple[Fraction, Fraction, Fraction]:
-    # kernel_phase_argument, -8T and 4T, remembered for the last arguments
+    # kernel_phase_argument, -8T and 4T, remembered for the last arguments;
+    # the arguments are checked on every call, since 0.5 == Fraction(1, 2)
     global _last_phase
-    key = (x_out, x_in, accel, duration)
+    key = (
+        _as_fraction(x_out, "x_out"),
+        _as_fraction(x_in, "x_in"),
+        _as_fraction(accel, "accel"),
+        _as_fraction(duration, "duration"),
+    )
     last_key, terms = _last_phase
     if key != last_key:
         T = _duration(duration)
-        terms = (kernel_phase_argument(x_out, x_in, accel, duration), -8 * T, 4 * T)
+        terms = (kernel_phase_argument(*key), -8 * T, 4 * T)
         _last_phase = (key, terms)
     return terms
 
@@ -152,9 +158,9 @@ def kernel(
     cubic-in-T phase polynomial, all in rational arithmetic.
     """
     phase, root_argument, abs_argument = _kernel_terms(x_out, x_in, accel, duration)
-    return ExactFactor(
+    return ExactFactor._make(
         weil_index(root_argument, place),
-        1 / local_abs(abs_argument, place),
+        _inverse_abs(abs_argument, place),
         additive_character(phase, place),
     )
 
@@ -191,7 +197,7 @@ def free_gauss_parameters(
     """
     T = _duration(duration)
     a = Fraction(-1) / (8 * T)
-    b = (Fraction(x_out) - Fraction(x_in)) / (4 * T)
+    b = (_as_fraction(x_out, "x_out") - _as_fraction(x_in, "x_in")) / (4 * T)
     return a, b
 
 

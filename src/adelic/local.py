@@ -15,6 +15,7 @@ from .rational import (
     _PRIME_LIMIT,
     DomainError,
     RationalLike,
+    _as_fraction,
     _valuation,
     factorize,
     require_prime,
@@ -152,14 +153,6 @@ def denominator_places(*rationals: RationalLike) -> set[int]:
     return primes
 
 
-def _require_rational(x: object, name: str) -> RationalLike:
-    # an exact value takes an int or a Fraction; Fraction() would also read a
-    # float's binary expansion or parse a string, and a bool is no number here
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return x
-    raise DomainError(f"{name} must be an int or a Fraction, got {x!r}")
-
-
 class RootOfUnity(_Value):
     """Exact point exp(2*pi*i*phase) on the unit circle, phase rational in [0,1).
 
@@ -172,7 +165,7 @@ class RootOfUnity(_Value):
     phase: Fraction
 
     def __init__(self, phase: RationalLike) -> None:
-        object.__setattr__(self, "phase", Fraction(_require_rational(phase, "phase")) % 1)
+        object.__setattr__(self, "phase", _as_fraction(phase, "phase") % 1)
 
     @staticmethod
     def one() -> "RootOfUnity":
@@ -203,7 +196,7 @@ def local_abs(x: RationalLike, place: Place) -> Fraction:
     At a finite place this is p**(-valuation); at the archimedean place the
     ordinary absolute value.  |0| = 0 everywhere.
     """
-    x = Fraction(x)
+    x = _as_fraction(x, "x")
     if place.is_infinite:
         return abs(x)
     if x == 0:
@@ -213,6 +206,15 @@ def local_abs(x: RationalLike, place: Place) -> Fraction:
     return Fraction(1, p**v) if v > 0 else Fraction(p**-v)
 
 
+def _inverse_abs(x: Fraction, place: Place) -> Fraction:
+    # 1 / |x| at the place for x != 0, from one valuation at a finite place
+    if place.is_infinite:
+        return 1 / abs(x)
+    p = place.prime
+    v = _valuation(x, p)
+    return Fraction(p**v) if v >= 0 else Fraction(1, p**-v)
+
+
 def frac_part(x: RationalLike, p: int) -> Fraction:
     """p-adic fractional part: the tail of the canonical expansion below p**0.
 
@@ -220,7 +222,7 @@ def frac_part(x: RationalLike, p: int) -> Fraction:
     x is a p-adic integer.  x - frac_part(x, p) always has valuation >= 0.
     """
     require_prime(p)
-    return _frac_part(Fraction(x), p)
+    return _frac_part(_as_fraction(x, "x"), p)
 
 
 def _frac_part(x: Fraction, p: int) -> Fraction:
@@ -240,16 +242,17 @@ def _frac_part(x: Fraction, p: int) -> Fraction:
 
 def additive_character(x: RationalLike, place: Place) -> RootOfUnity:
     """Standard additive character: exp(-2*pi*i*x) at infinity, exp(2*pi*i*{x}_p) at p."""
-    x = Fraction(x)
+    x = _as_fraction(x, "x")
     if place.is_infinite:
         return RootOfUnity(-x)
-    return RootOfUnity(_frac_part(x, place.prime))
+    # the fractional part already lies in [0, 1)
+    return RootOfUnity._make(_frac_part(x, place.prime))
 
 
 def integer_indicator(x: RationalLike, p: int) -> int:
     """1 if |x|_p <= 1 (x lies in the p-adic integers, including 0), else 0."""
     require_prime(p)
-    x = Fraction(x)
+    x = _as_fraction(x, "x")
     if x == 0:
         return 1
     return 1 if _valuation(x, p) >= 0 else 0
@@ -276,14 +279,16 @@ class FiniteAdele(_Value):
     def __init__(
         self, real_component: RationalLike, exceptional: tuple[tuple[int, RationalLike], ...] = ()
     ) -> None:
-        object.__setattr__(self, "real_component", Fraction(real_component))
+        object.__setattr__(self, "real_component", _as_fraction(real_component, "real component"))
         try:
             pairs = [(p, value) for p, value in exceptional]
         except (TypeError, ValueError):
             raise DomainError(
                 f"exceptional components must be (prime, value) pairs, got {exceptional!r}"
             ) from None
-        entries = tuple((require_prime(p), Fraction(value)) for p, value in sorted(pairs))
+        entries = tuple(
+            (require_prime(p), _as_fraction(value, f"component at {p}")) for p, value in sorted(pairs)
+        )
         for (p, _), (q, _) in zip(entries, entries[1:]):
             if p == q:
                 raise DomainError(f"prime {p} is listed twice among the exceptional components")

@@ -22,6 +22,17 @@ class DomainError(ValueError):
     """An argument falls outside an operation's mathematical domain."""
 
 
+def _as_fraction(x: object, name: str) -> Fraction:
+    # an exact argument is an int or a Fraction: a Fraction comes back as it
+    # is, an int converted.  Fraction() would also read a float's binary
+    # expansion or parse a string, and a bool is no number here
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise DomainError(f"{name} must be an int or a Fraction, got {x!r}")
+
+
 # psi_k (OEIS A014233): the least odd composite that is a strong pseudoprime
 # to each of the first k bases in _SMALL_PRIMES, so those k bases prove
 # primality of every n < psi_k (Jaeschke, Math. Comp. 61, 1993; psi_12 by
@@ -261,7 +272,7 @@ def valuation(x: RationalLike, p: int) -> int | float:
     Returns INFINITE for x = 0 (the |0|_p = 0 convention).
     """
     require_prime(p)
-    return _valuation(Fraction(x), p)
+    return _valuation(_as_fraction(x, "x"), p)
 
 
 def _valuation(x: Fraction, p: int) -> int | float:
@@ -303,7 +314,7 @@ def _multiplicity(n: int, p: int) -> int:
 
 def unit_part(x: RationalLike, p: int) -> Fraction:
     """x / p**valuation(x, p); a p-adic unit.  x must be nonzero."""
-    x = Fraction(x)
+    x = _as_fraction(x, "x")
     if x == 0:
         raise DomainError("0 has no unit part")
     return Fraction(*_unit_parts(x, p, valuation(x, p)))
@@ -388,7 +399,7 @@ def digit_expansion(x: RationalLike, p: int, n: int) -> DigitExpansion:
     # n itself first: n * log2(p) cannot convert an n past the double range
     if n > _MAX_DIGIT_BITS or n * math.log2(p) > _MAX_DIGIT_BITS:
         raise DomainError(f"{n} base-{p} digits exceed {_MAX_DIGIT_BITS} bits (cost guard)")
-    x = Fraction(x)
+    x = _as_fraction(x, "x")
     if x == 0:
         raise DomainError("0 has no canonical digit expansion")
     if n < 1:

@@ -11,10 +11,11 @@ import cmath
 import math
 from fractions import Fraction
 
-from .local import _PHASE_ONE, Place, RootOfUnity, _require_rational, _Value
+from .local import _PHASE_ONE, Place, RootOfUnity, _Value
 from .rational import (
     DomainError,
     RationalLike,
+    _as_fraction,
     _unit_parts,
     _valuation,
     require_prime,
@@ -31,7 +32,7 @@ class EighthRoot(_Value):
     k: int
 
     def __init__(self, k: int) -> None:
-        if not isinstance(k, int):
+        if not isinstance(k, int) or isinstance(k, bool):
             raise DomainError(f"eighth-root exponent must be an integer, got {k!r}")
         object.__setattr__(self, "k", k % 8)
 
@@ -72,6 +73,8 @@ class ExactFactor(_Value):
 
     mag2 is the squared magnitude, a positive rational (an int or a Fraction),
     so products of half-integer powers of rationals stay exactly representable.
+    The unit factors, with mag2 = 1 and no phase, are the eight shared
+    instances ``_ROOT_FACTORS[k]``.
     """
 
     __slots__ = ("root", "mag2", "phase")
@@ -80,7 +83,7 @@ class ExactFactor(_Value):
     phase: RootOfUnity
 
     def __init__(self, root: EighthRoot, mag2: RationalLike, phase: RootOfUnity) -> None:
-        mag2 = Fraction(_require_rational(mag2, "squared magnitude"))
+        mag2 = _as_fraction(mag2, "squared magnitude")
         if mag2 <= 0:
             raise DomainError("factor magnitude must be positive")
         object.__setattr__(self, "root", root)
@@ -93,22 +96,22 @@ class ExactFactor(_Value):
 
     @classmethod
     def from_magnitude(cls, m: RationalLike) -> "ExactFactor":
-        m = Fraction(_require_rational(m, "magnitude"))
+        m = _as_fraction(m, "magnitude")
         return cls(_ROOTS[0], m * m, _PHASE_ONE)
 
-    @classmethod
-    def from_phase(cls, phase: RootOfUnity) -> "ExactFactor":
-        return cls(_ROOTS[0], 1, phase)
+    @staticmethod
+    def from_phase(phase: RootOfUnity) -> "ExactFactor":
+        return ExactFactor._make(_ROOTS[0], _ONE, phase)
 
-    @classmethod
-    def from_root(cls, root: EighthRoot) -> "ExactFactor":
-        return cls(root, 1, _PHASE_ONE)
+    @staticmethod
+    def from_root(root: EighthRoot) -> "ExactFactor":
+        return _ROOT_FACTORS[root.k]
 
-    @classmethod
-    def from_sign(cls, sign: int) -> "ExactFactor":
-        if sign not in (1, -1):
-            raise DomainError(f"sign factor must be +1 or -1, got {sign}")
-        return cls(_ROOTS[0 if sign == 1 else 4], 1, _PHASE_ONE)
+    @staticmethod
+    def from_sign(sign: int) -> "ExactFactor":
+        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+            raise DomainError(f"sign factor must be +1 or -1, got {sign!r}")
+        return _ROOT_FACTORS[0 if sign == 1 else 4]
 
     @property
     def is_identity(self) -> bool:
@@ -142,7 +145,9 @@ class ExactFactor(_Value):
         return "*".join(parts) if parts else "1"
 
 
-_IDENTITY = ExactFactor(_ROOTS[0], 1, _PHASE_ONE)
+_ONE = Fraction(1)
+_ROOT_FACTORS = tuple(ExactFactor._make(root, _ONE, _PHASE_ONE) for root in _ROOTS)
+_IDENTITY = _ROOT_FACTORS[0]
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -182,8 +187,8 @@ def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
     test suite ties it to a solvability search, so the formula never stands
     alone.
     """
-    x = Fraction(x)
-    y = Fraction(y)
+    x = _as_fraction(x, "x")
+    y = _as_fraction(y, "y")
     if x == 0 or y == 0:
         raise DomainError("Hilbert symbol requires nonzero arguments")
     if place.is_infinite:
@@ -221,7 +226,7 @@ def weil_index(x: RationalLike, place: Place) -> EighthRoot:
     the requirement that the product over all places is exactly 1, and are
     cross-checked numerically against ball sums of the defining integral.
     """
-    x = Fraction(x)
+    x = _as_fraction(x, "x")
     if x == 0:
         raise DomainError("Weil index undefined at 0")
     if place.is_infinite:

@@ -133,7 +133,7 @@ class TestClassify:
     def test_equals_factoring_each_multiplier(self):
         rng = random.Random(5)
         kinds = {"parabolic": 0, "c = 0": 0, "two points": 0}
-        for height in (10, 10**3, 10**6):
+        for height in (10, 10**3, 10**6, 10**12):
             maps = [random_map_with_rational_fixed_points(rng, height) for _ in range(300)]
             maps += [_affine_map(rng, height) for _ in range(40)]
             for f in maps:
@@ -144,7 +144,7 @@ class TestClassify:
                     kinds["parabolic"] += 1
                 elif len(multipliers) == 2:
                     kinds["c = 0" if f.c == 0 else "two points"] += 1
-        assert sum(kinds.values()) == 3 * 340
+        assert sum(kinds.values()) == 4 * 340
         assert kinds["parabolic"] >= 50 and kinds["c = 0"] >= 120
     def test_worked_map_repelling_origin(self):
         report = classify(WORKED)

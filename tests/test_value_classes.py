@@ -7,9 +7,11 @@ checked the same way for all six, so the behaviour does not depend on how a
 class is written.
 
 Products of the exact values skip the checking constructors (``_make``), and
-the library's eighth roots are the shared ``_ROOTS``; the last tests hold
-those products equal to the checked construction and keep the checks off the
-multiplication path.
+so do the Gauss and kernel factors, the characters at a prime and the unit
+factors; the library's eighth roots and unit factors are the shared
+``_ROOTS`` and ``_ROOT_FACTORS``.  The last tests hold those values equal to
+the checked construction and keep the checks off the paths of a
+verification.
 """
 
 import copy
@@ -27,11 +29,14 @@ from adelic.local import (
     FiniteAdele,
     Place,
     RootOfUnity,
+    _Value,
     additive_character,
+    frac_part,
     local_abs,
+    places_for,
 )
 from adelic.rational import DomainError, random_rational
-from adelic.symbols import _ROOTS, EighthRoot, ExactFactor, weil_index
+from adelic.symbols import _ROOT_FACTORS, _ROOTS, EighthRoot, ExactFactor, hilbert_symbol, weil_index
 from adelic.verifier import EXACT_PASS, default_registry
 
 # (class, positional args, keyword args, fields after normalization, repr)
@@ -322,3 +327,115 @@ def test_verify_checks_only_the_factors_never_the_products(monkeypatch, family):
         assert report.verdict == EXACT_PASS
         assert all(count <= n + 1 for count in map(int.__sub__, counter.snapshot(), before))
     assert products
+
+
+def _shape(value):
+    # the value's class and its fields' classes, values among the fields opened up
+    if isinstance(value, _Value):
+        return type(value), tuple(_shape(getattr(value, name)) for name in value.__slots__)
+    return type(value)
+
+
+def _assert_twins(value, twin):
+    assert _shape(value) == _shape(twin)
+    assert value == twin
+    assert (hash(value), str(value), repr(value)) == (hash(twin), str(twin), repr(twin))
+
+
+def _checked_unit(k: int, phase=0) -> ExactFactor:
+    return ExactFactor(EighthRoot(k), 1, RootOfUnity(phase))
+
+
+@pytest.mark.parametrize("height", [10, 10**6, 10**12])
+def test_trusted_values_equal_their_checked_twins(height):
+    # each value the library builds through _make, against the same value
+    # built through __init__ (the magnitude through local_abs), at every
+    # support place of the arguments plus 2, 3 and infinity
+    rng = random.Random(height)
+    for _ in range(12):
+        x, y, a = (random_rational(rng, height, nonzero=True) for _ in range(3))
+        b, x_out, x_in, accel = (random_rational(rng, height) for _ in range(4))
+        T = random_rational(rng, height, nonzero=True)
+        phase_argument = gauss.kernel_phase_argument(x_out, x_in, accel, T)
+        for place in places_for(x, y, a, b, x_out, x_in, accel, T, always=(2, 3)):
+            character = additive_character(x, place)
+            _assert_twins(
+                character, RootOfUnity(-x if place.is_infinite else frac_part(x, place.prime))
+            )
+            _assert_twins(
+                gauss.gauss_factor(a, b, place),
+                ExactFactor(
+                    EighthRoot(weil_index(a, place).k),
+                    1 / local_abs(2 * a, place),
+                    RootOfUnity(additive_character(-b * b / (4 * a), place).phase),
+                ),
+            )
+            _assert_twins(
+                gauss.kernel(x_out, x_in, accel, T, place),
+                ExactFactor(
+                    EighthRoot(weil_index(-8 * T, place).k),
+                    1 / local_abs(4 * T, place),
+                    RootOfUnity(additive_character(phase_argument, place).phase),
+                ),
+            )
+            sign = hilbert_symbol(x, y, place)
+            _assert_twins(ExactFactor.from_sign(sign), _checked_unit(0 if sign == 1 else 4))
+            k = weil_index(x, place).k
+            _assert_twins(ExactFactor.from_root(EighthRoot(k)), _checked_unit(k))
+            _assert_twins(ExactFactor.from_phase(character), _checked_unit(0, character.phase))
+
+
+def test_unit_factors_are_shared():
+    assert ExactFactor.from_sign(-1) is ExactFactor.from_sign(-1)
+    assert ExactFactor.from_sign(1) is ExactFactor.identity() is _ROOT_FACTORS[0]
+    assert ExactFactor.from_sign(-1) is _ROOT_FACTORS[4]
+    for k in range(-8, 16):
+        assert ExactFactor.from_root(EighthRoot(k)) is _ROOT_FACTORS[k % 8]
+        assert _ROOT_FACTORS[k % 8].root is _ROOTS[k % 8]
+    for factor, k in zip(_ROOT_FACTORS, range(8)):
+        _assert_twins(factor, _checked_unit(k))
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["character-product", "lambda-product", "hilbert-product", "gauss-product", "kernel-product"],
+)
+def test_verify_builds_its_factors_unchecked(monkeypatch, family):
+    # no factor of these families goes through ExactFactor.__init__, and
+    # RootOfUnity.__init__ runs at most once: for the archimedean character
+    registry = default_registry()
+    counter = _InitCounter(monkeypatch)
+    rng = random.Random(20)
+    for height in (10, 10**3, 10**6) * 10:
+        args = registry.family(family).sample(rng, height)
+        before = counter.snapshot()
+        assert registry.verify(family, args).verdict == EXACT_PASS
+        exact_factors, roots_of_unity = map(int.__sub__, counter.snapshot(), before)
+        assert exact_factors == 0
+        assert roots_of_unity <= 1
+
+
+@pytest.mark.parametrize(
+    "family, height, bound", [("kernel-product", 10**6, 100), ("hilbert-product", 10**12, 40)]
+)
+def test_fractions_built_per_verification(monkeypatch, family, height, bound):
+    # the mean number of Fractions one verification builds, counted at
+    # Fraction.__new__ (Python 3.12 builds arithmetic results without it, so
+    # there the count is lower); 176 and 73 before the exact per-place values
+    # were built once
+    registry = default_registry()
+    rng = random.Random(21)
+    samples = [registry.family(family).sample(rng, height) for _ in range(200)]
+    built = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for args in samples:
+        assert registry.verify(family, args).verdict == EXACT_PASS
+    monkeypatch.undo()
+    assert built / len(samples) <= bound
