@@ -287,7 +287,8 @@ class FiniteAdele(_Value):
                 f"exceptional components must be (prime, value) pairs, got {exceptional!r}"
             ) from None
         entries = tuple(
-            (require_prime(p), _as_fraction(value, f"component at {p}")) for p, value in sorted(pairs)
+            (require_prime(p), _as_fraction(value, f"component at {p}"))
+            for p, value in sorted(pairs)
         )
         for (p, _), (q, _) in zip(entries, entries[1:]):
             if p == q:

@@ -36,7 +36,14 @@ from adelic.local import (
     places_for,
 )
 from adelic.rational import DomainError, random_rational
-from adelic.symbols import _ROOT_FACTORS, _ROOTS, EighthRoot, ExactFactor, hilbert_symbol, weil_index
+from adelic.symbols import (
+    _ROOT_FACTORS,
+    _ROOTS,
+    EighthRoot,
+    ExactFactor,
+    hilbert_symbol,
+    weil_index,
+)
 from adelic.verifier import EXACT_PASS, default_registry
 
 # (class, positional args, keyword args, fields after normalization, repr)
