@@ -17,13 +17,11 @@ from .rational import (
     valuation,
 )
 from .local import (
-    FiniteAdele,
     INFINITY_PLACE,
     Place,
     RootOfUnity,
     additive_character,
     frac_part,
-    integer_indicator,
     local_abs,
     parse_place,
     places_for,
@@ -37,13 +35,10 @@ from .symbols import (
 )
 from .gauss import (
     WaveFunctionValue,
-    free_gauss_parameters,
     gauss_factor,
-    gaussian_fourier_residual,
     ground_state,
     kernel,
     kernel_phase_argument,
-    padic_gauss_oracle,
 )
 from .special import (
     PoleError,
@@ -62,7 +57,6 @@ from .dynamics import (
     classify,
     fixed_points,
     orbit_probe,
-    random_map,
     random_map_with_rational_fixed_points,
 )
 from .verifier import (

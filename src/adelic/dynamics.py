@@ -63,23 +63,11 @@ class MoebiusMap(_Value):
             if self.c == 0:
                 return AT_INFINITY
             return self.a / self.c
-        x = Fraction(x)
+        x = _as_fraction(x, "x")
         denom = self.c * x + self.d
         if denom == 0:
             return AT_INFINITY
         return (self.a * x + self.b) / denom
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """Matrix product; self applied after other."""
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
     def __str__(self) -> str:
         return f"({self.a}x + {self.b})/({self.c}x + {self.d})"
@@ -212,10 +200,10 @@ def orbit_probe(
     """
     if not 0 <= steps <= _MAX_ORBIT_STEPS:
         raise DomainError(f"orbit steps must lie in [0, {_MAX_ORBIT_STEPS}], got {steps}")
-    x_star = Fraction(fixed_point)
+    x_star = _as_fraction(fixed_point, "fixed_point")
     if f.apply(x_star) != x_star:
         raise DomainError(f"{x_star} is not fixed by {f}")
-    x: PointLike = Fraction(x0)
+    x: PointLike = _as_fraction(x0, "x0")
     if x == x_star:
         raise DomainError("orbit probe requires a start away from the fixed point")
     entries: list[object] = []
@@ -233,15 +221,6 @@ def orbit_probe(
         else:
             entries.append(int(_valuation(delta, place.prime)))
     return OrbitProbe(tuple(entries), False)
-
-
-def random_map(rng: random.Random, height: int) -> MoebiusMap:
-    """Random determinant-one map: sample a, b, c and solve for d."""
-    a = random_rational(rng, height, nonzero=True)
-    b = random_rational(rng, height)
-    c = random_rational(rng, height)
-    d = (1 + b * c) / a
-    return MoebiusMap(a, b, c, d)
 
 
 _PARABOLIC_SHARE = 0.15

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import NamedTuple
 
 from .rational import (
     _PRIME_LIMIT,
@@ -130,7 +129,7 @@ def places_for(
     """
     proven: set[int] = set(_proven)
     for x in rationals:
-        x = Fraction(x)
+        x = _as_fraction(x, "x")
         if x != 0:
             proven.update(support(x))
     return (INFINITY_PLACE,) + tuple(
@@ -147,7 +146,7 @@ def denominator_places(*rationals: RationalLike) -> set[int]:
     """
     primes: set[int] = set()
     for x in rationals:
-        den = Fraction(x).denominator
+        den = _as_fraction(x, "x").denominator
         if den > 1:
             primes.update(factorize(den))
     return primes
@@ -247,70 +246,3 @@ def additive_character(x: RationalLike, place: Place) -> RootOfUnity:
         return RootOfUnity(-x)
     # the fractional part already lies in [0, 1)
     return RootOfUnity._make(_frac_part(x, place.prime))
-
-
-def integer_indicator(x: RationalLike, p: int) -> int:
-    """1 if |x|_p <= 1 (x lies in the p-adic integers, including 0), else 0."""
-    require_prime(p)
-    x = _as_fraction(x, "x")
-    if x == 0:
-        return 1
-    return 1 if _valuation(x, p) >= 0 else 0
-
-
-class AdeleCheck(NamedTuple):
-    valid: bool
-    violations: tuple[int, ...]
-
-
-class FiniteAdele(_Value):
-    """Finite-support model of an adele with rational components.
-
-    Components at primes outside ``exceptional`` default to the real component
-    read inside the p-adic integers; listed primes may carry any rational, and
-    each prime is listed at most once.  A principal adele is the constant
-    sequence: empty exceptional map.
-    """
-
-    __slots__ = ("real_component", "exceptional")
-    real_component: Fraction
-    exceptional: tuple[tuple[int, Fraction], ...]
-
-    def __init__(
-        self, real_component: RationalLike, exceptional: tuple[tuple[int, RationalLike], ...] = ()
-    ) -> None:
-        object.__setattr__(self, "real_component", _as_fraction(real_component, "real component"))
-        try:
-            pairs = [(p, value) for p, value in exceptional]
-        except (TypeError, ValueError):
-            raise DomainError(
-                f"exceptional components must be (prime, value) pairs, got {exceptional!r}"
-            ) from None
-        entries = tuple(
-            (require_prime(p), _as_fraction(value, f"component at {p}"))
-            for p, value in sorted(pairs)
-        )
-        for (p, _), (q, _) in zip(entries, entries[1:]):
-            if p == q:
-                raise DomainError(f"prime {p} is listed twice among the exceptional components")
-        object.__setattr__(self, "exceptional", entries)
-
-    def component(self, place: Place) -> Fraction:
-        if place.is_infinite:
-            return self.real_component
-        for p, value in self.exceptional:
-            if p == place.prime:
-                return value
-        return self.real_component
-
-    def is_valid(self) -> AdeleCheck:
-        """Check that every component outside the exceptional set is a p-adic integer."""
-        x = self.real_component
-        if x == 0 or x.denominator == 1:
-            return AdeleCheck(True, ())
-        listed = {p for p, _ in self.exceptional}
-        bad = tuple(
-            p for p in support(x)
-            if p not in listed and _valuation(x, p) < 0
-        )
-        return AdeleCheck(not bad, bad)

@@ -330,7 +330,7 @@ def _unit_parts(x: Fraction, p: int, v: int) -> tuple[int, int]:
 
 def support(x: RationalLike) -> tuple[int, ...]:
     """The finite set of primes p with |x|_p != 1, sorted.  x must be nonzero."""
-    x = Fraction(x)
+    x = _as_fraction(x, "x")
     if x == 0:
         raise DomainError("support undefined for 0")
     primes = set(factorize(x.numerator)) | set(factorize(x.denominator))

@@ -2,12 +2,22 @@
 
 These deliberately avoid the library's closed forms: quadratic residues by
 exhaustive squaring, Hilbert symbols by searching for solutions of the
-ternary quadratic modulo prime powers, local zeta factors by shell sums.
-Four exceptions are references for faster library code rather than
-independent oracles: zeta_exact_weights, bit for bit for the zeta series,
-digits_by_division, digit for digit for digit_expansion, and
-strong_probable_prime_all_bases and factorize_by_trial_and_rho, answer for
-answer for the library's Miller-Rabin test and factorize.
+ternary quadratic modulo prime powers, local zeta factors by shell sums and
+local Gauss integrals by summing characters over the cosets of a ball.  They
+take valuations from valuation_by_division, one division per factor p, and
+digits from digits_by_division, never from the library.
+
+The exceptions are references for faster library code, or checks of it,
+rather than independent oracles:
+
+- zeta_exact_weights, bit for bit for the zeta series;
+- digits_by_division, digit for digit for digit_expansion;
+- strong_probable_prime_all_bases and factorize_by_trial_and_rho, answer
+  for answer for the library's Miller-Rabin test and factorize;
+- gaussian_fourier_residual, the library's quadrature on the self-dual
+  Gaussian;
+- free_gauss_parameters, the (a, b) that the zero-acceleration kernel
+  reduces to.
 """
 
 from __future__ import annotations
@@ -24,10 +34,29 @@ from adelic.rational import (
     DigitExpansion,
     DomainError,
     _rho_split,
-    digit_expansion,
-    valuation,
 )
+from adelic.quadrature import quad_semi_infinite
 from adelic.special import PoleError, complex_gamma
+
+
+def valuation_by_division(x: Fraction, p: int) -> int | float:
+    """p-adic valuation of x, one division per factor p; math.inf for x = 0.
+
+    The library divides by p, p**2, p**4, ... instead: O(log v) divisions
+    where this loop takes v.
+    """
+    x = Fraction(x)
+    if x == 0:
+        return math.inf
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 def legendre_table(p: int) -> dict[int, int]:
@@ -52,7 +81,7 @@ def _square_class_rep(x: Fraction, p: int, m: int) -> int:
     leaves p**(0 or 1) times a unit; resolving the unit modulo m changes it
     by a factor in 1 + m*Z_p, a square since m is at least p**3.
     """
-    v = int(valuation(x, p))
+    v = valuation_by_division(x, p)
     unit = x / Fraction(p) ** v
     u = unit.numerator * pow(unit.denominator, -1, m) % m
     return p ** (v % 2) * u % m
@@ -96,13 +125,13 @@ def weil_index_by_digits(x: Fraction, p: int) -> int:
     k = 1 - 2 x1 for even valuation and 1 + 2 x1 + 4 x2 for odd.
     """
     if p != 2:
-        exp = digit_expansion(x, p, 1)
+        exp = digits_by_division(x, p, 1)
         if exp.valuation % 2 == 0:
             return 0
         k = 0 if p % 4 == 1 else 2
         squares, _ = _squares_mod(p)
         return k if exp.digits[0] in squares else k + 4
-    exp = digit_expansion(x, 2, 3)
+    exp = digits_by_division(x, 2, 3)
     x1, x2 = exp.digits[1], exp.digits[2]
     if exp.valuation % 2 == 0:
         return (1 - 2 * x1) % 8
@@ -116,7 +145,7 @@ def digits_by_division(x: Fraction, p: int, n: int) -> DigitExpansion:
     n log2 p to a few thousand bits.
     """
     x = Fraction(x)
-    v = int(valuation(x, p))
+    v = valuation_by_division(x, p)
     u = x / Fraction(p) ** v
     modulus = p**n
     residue = u.numerator * pow(u.denominator, -1, modulus) % modulus
@@ -266,3 +295,80 @@ def zeta_exact_weights(s: complex) -> complex:
     if abs(denom) < 1e-9:
         raise PoleError(f"alternating-series pole point at {s}")
     return -acc / (dn * denom)
+
+
+# the most cosets padic_gauss_oracle sums in one period (cost guard)
+_MAX_ORACLE_MODULUS = 1 << 20
+
+
+def padic_gauss_oracle(a: Fraction, b: Fraction, p: int, n_ball: int) -> complex:
+    """Brute-force finite-volume value of the local Gauss integral at a prime p.
+
+    Sums the character of a*t**2 + b*t over cosets of the ball of radius
+    p**n_ball (elements of valuation >= -n_ball), with the coset refinement
+    taken fine enough that the integrand is constant on each coset.  The sum
+    over representatives t = n / p**n_ball is periodic in n, so it is
+    collapsed to one exact period before evaluation; the value is unchanged.
+    Only character values are summed.
+
+    The period is summed in pure Python (about half a second at 7**7 = 823,543
+    cosets, the largest the tests use), so a period above 2**20 cosets, or a
+    ball exponent above 12, raises DomainError as a cost guard.
+    """
+    a = Fraction(a)
+    b = Fraction(b)
+    if a == 0:
+        raise DomainError("quadratic coefficient must be nonzero")
+    if not 0 <= n_ball <= 12:
+        raise DomainError("ball exponent must lie in [0, 12] (cost guard)")
+    period_exp = max(0, 2 * n_ball - valuation_by_division(a, p))
+    if b != 0:
+        period_exp = max(period_exp, n_ball - valuation_by_division(b, p))
+    modulus = p**period_exp
+    if modulus > _MAX_ORACLE_MODULUS:
+        raise DomainError(f"oracle would sum over {modulus} cosets (cost guard)")
+    # residues of a/p**(2N) and b/p**N rescaled to denominator modulus
+    c2 = _scaled_residue(a, p, period_exp - 2 * n_ball, modulus)
+    c1 = _scaled_residue(b, p, period_exp - n_ball, modulus) if b != 0 else 0
+    # count the residues t = c2 n**2 + c1 n, then sum e(t/modulus) once per distinct t
+    counts = [0] * modulus
+    for n in range(modulus):
+        counts[(c2 * n * n + c1 * n) % modulus] += 1
+    terms = [(count, 2 * math.pi * t / modulus) for t, count in enumerate(counts) if count]
+    total = complex(
+        math.fsum(count * math.cos(angle) for count, angle in terms),
+        math.fsum(count * math.sin(angle) for count, angle in terms),
+    )
+    return p**n_ball / modulus * total
+
+
+def _scaled_residue(x: Fraction, p: int, shift: int, modulus: int) -> int:
+    # residue of x * p**shift mod modulus; the shift makes the value p-integral
+    scaled = x * Fraction(p) ** shift
+    return scaled.numerator * pow(scaled.denominator, -1, modulus) % modulus
+
+
+def gaussian_fourier_residual(k: float) -> float:
+    """|quadrature of the Gaussian Fourier integral at k minus exp(-pi k**2)|."""
+    val = quad_semi_infinite(
+        lambda x: math.exp(-math.pi * x * x) * math.cos(2 * math.pi * k * x)
+    ).value
+    return abs(2.0 * val - math.exp(-math.pi * k * k))
+
+
+def free_gauss_parameters(
+    x_out: Fraction, x_in: Fraction, duration: Fraction
+) -> tuple[Fraction, Fraction]:
+    """(a, b) whose Gauss factor reproduces the zero-acceleration kernel.
+
+    kernel == gauss_factor(a, b) * |4T|**(-1) * character(-T/2) holds exactly
+    place by place; a is in the square class of -8T so the eighth-root parts
+    already agree.
+    """
+    T = Fraction(duration)
+    return Fraction(-1) / (8 * T), (Fraction(x_out) - Fraction(x_in)) / (4 * T)
+
+
+def is_p_integral(x: Fraction, p: int) -> bool:
+    """|x|_p <= 1: x lies in the p-adic integers (0 does)."""
+    return valuation_by_division(x, p) >= 0

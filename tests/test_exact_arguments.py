@@ -10,28 +10,29 @@ from fractions import Fraction as F
 
 import pytest
 
-from adelic.dynamics import MoebiusMap
+from adelic.dynamics import MoebiusMap, orbit_probe
 from adelic.gauss import (
-    free_gauss_parameters,
     gauss_factor,
+    ground_state,
     kernel,
     kernel_phase_argument,
     kernel_places,
 )
 from adelic.local import (
-    FiniteAdele,
     Place,
     additive_character,
+    denominator_places,
     frac_part,
-    integer_indicator,
     local_abs,
+    places_for,
 )
-from adelic.rational import DomainError, digit_expansion, unit_part, valuation
+from adelic.rational import DomainError, digit_expansion, support, unit_part, valuation
 from adelic.symbols import EighthRoot, ExactFactor, hilbert_symbol, weil_index
 
 P3 = Place(3)
 KERNEL_INTS = (1, 2, 3, 6)
 KERNEL_FRACTIONS = (F(1, 2), F(1, 3), F(2), F(3, 5))
+NINE_X = MoebiusMap(3, 0, 0, F(1, 3))  # x -> 9x, fixed point 0
 
 # name: (call taking the rational arguments, int arguments, their value's
 # repr, Fraction arguments, their value's repr)
@@ -53,7 +54,6 @@ ENTRY_POINTS = {
     "frac_part": (
         lambda x: frac_part(x, 3), (7,), "Fraction(0, 1)", (F(7, 9),), "Fraction(7, 9)"
     ),
-    "integer_indicator": (lambda x: integer_indicator(x, 3), (7,), "1", (F(7, 9),), "0"),
     "valuation": (lambda x: valuation(x, 3), (18,), "2", (F(7, 9),), "-2"),
     "unit_part": (
         lambda x: unit_part(x, 3), (18,), "Fraction(2, 1)", (F(7, 9),), "Fraction(7, 1)"
@@ -90,23 +90,32 @@ ENTRY_POINTS = {
         kernel_phase_argument,
         KERNEL_INTS, "Fraction(-3383, 48)", KERNEL_FRACTIONS, "Fraction(-8663, 108000)",
     ),
-    "free_gauss_parameters": (
-        free_gauss_parameters,
-        (1, 2, 6), "(Fraction(-1, 48), Fraction(-1, 24))",
-        (F(1, 2), F(1, 3), F(3, 5)), "(Fraction(-5, 24), Fraction(5, 72))",
-    ),
-    "FiniteAdele": (
-        lambda real, exceptional: FiniteAdele(real, ((5, exceptional),)),
-        (7, 3), "FiniteAdele(real_component=Fraction(7, 1), exceptional=((5, Fraction(3, 1)),))",
-        (F(7, 8), F(1, 5)),
-        "FiniteAdele(real_component=Fraction(7, 8), exceptional=((5, Fraction(1, 5)),))",
-    ),
     "MoebiusMap": (
         MoebiusMap,
         (2, 1, 1, 1),
         "MoebiusMap(a=Fraction(2, 1), b=Fraction(1, 1), c=Fraction(1, 1), d=Fraction(1, 1))",
         (F(1, 2), 0, 0, 2),
         "MoebiusMap(a=Fraction(1, 2), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(2, 1))",
+    ),
+    "MoebiusMap.apply": (NINE_X.apply, (2,), "Fraction(18, 1)", (F(1, 27),), "Fraction(1, 3)"),
+    "orbit_probe": (
+        lambda x0, fixed_point: orbit_probe(NINE_X, x0, P3, 2, fixed_point),
+        (2, 0), "OrbitProbe(entries=(2, 4), pole_escape=False)",
+        (F(1, 3), F(0)), "OrbitProbe(entries=(1, 3), pole_escape=False)",
+    ),
+    "places_for": (
+        places_for,
+        (18,), "(Place(prime=None), Place(prime=2), Place(prime=3))",
+        (F(7, 9),), "(Place(prime=None), Place(prime=3), Place(prime=7))",
+    ),
+    "denominator_places": (
+        denominator_places, (7, 18), "set()", (F(7, 9), F(1, 10)), "{2, 3, 5}"
+    ),
+    "support": (support, (18,), "(2, 3)", (F(7, 9),), "(3, 7)"),
+    "ground_state": (
+        ground_state,
+        (0,), "WaveFunctionValue(real_factor=1.189207115002721, padic_gate=1)",
+        (F(7, 9),), "WaveFunctionValue(real_factor=0.17778455360131723, padic_gate=0)",
     ),
 }
 

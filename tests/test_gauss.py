@@ -7,19 +7,23 @@ import pytest
 
 from adelic import gauss, local, rational
 from adelic.gauss import (
-    free_gauss_parameters,
     gauss_factor,
-    gaussian_fourier_residual,
     ground_state,
     kernel,
     kernel_phase_argument,
     kernel_places,
-    padic_gauss_oracle,
 )
 from adelic.local import INFINITY_PLACE, Place, additive_character, local_abs, parse_place
 from adelic.rational import DomainError, factorize, valuation
 from adelic.symbols import EighthRoot, ExactFactor, weil_index
 from adelic.verifier import REGISTRY
+
+from oracles import (
+    free_gauss_parameters,
+    gaussian_fourier_residual,
+    is_p_integral,
+    padic_gauss_oracle,
+)
 
 P2, P3, P5, P7 = (Place(p) for p in (2, 3, 5, 7))
 
@@ -320,7 +324,6 @@ class TestGroundState:
         assert ground_state(x) == (0.0, gate)
 
     def test_gate_matches_indicator_product(self):
-        from adelic.local import integer_indicator
         from adelic.rational import support
 
         rng = random.Random(3)
@@ -329,7 +332,7 @@ class TestGroundState:
             gate = 1
             if x != 0:
                 for p in support(x):
-                    gate *= integer_indicator(x, p)
+                    gate *= is_p_integral(x, p)
             assert ground_state(x).padic_gate == gate
 
 

@@ -7,19 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adelic.local import (
-    FiniteAdele,
     INFINITY_PLACE,
     Place,
     RootOfUnity,
     additive_character,
     frac_part,
-    integer_indicator,
     local_abs,
     parse_place,
     places_for,
 )
 from adelic import rational
-from adelic.gauss import padic_gauss_oracle
 from adelic.rational import (
     DomainError,
     digit_expansion,
@@ -31,7 +28,7 @@ from adelic.rational import (
 )
 from adelic.symbols import hilbert_symbol, legendre_symbol, weil_index
 
-from oracles import digits_by_division
+from oracles import digits_by_division, is_p_integral
 
 P2, P3, P5, P7 = (Place(p) for p in (2, 3, 5, 7))
 
@@ -112,9 +109,6 @@ class TestPublicEntryPointsCheckThePrime:
             lambda: frac_part(Fraction(1, 6), 6),
             lambda: digit_expansion(Fraction(1, 3), 9, 2),
             lambda: legendre_symbol(2, 9),
-            lambda: integer_indicator(Fraction(1, 4), 4),
-            lambda: padic_gauss_oracle(1, 0, 9, 1),
-            lambda: FiniteAdele(Fraction(1, 6), ((6, Fraction(1)),)),
             lambda: Place(91),
             lambda: parse_place("91"),
         ],
@@ -164,7 +158,7 @@ class TestFracPart:
     @given(rationals, prime_st)
     @settings(max_examples=100)
     def test_omega_agreement(self, x, p):
-        assert (integer_indicator(x, p) == 1) == (frac_part(x, p) == 0)
+        assert is_p_integral(x, p) == (frac_part(x, p) == 0)
 
     @given(rationals)
     @settings(max_examples=150)
@@ -196,57 +190,6 @@ class TestCharacter:
         assert (u * v).phase == Fraction(1, 4)
         assert (u * RootOfUnity(-u.phase)).is_one
         assert abs(u.to_complex() * v.to_complex() - (u * v).to_complex()) < 1e-14
-
-
-class TestOmega:
-    def test_examples(self):
-        assert integer_indicator(Fraction(7, 8), 2) == 0
-        assert integer_indicator(Fraction(7, 8), 3) == 1
-        assert integer_indicator(0, 5) == 1
-
-
-class TestFiniteAdele:
-    def test_principal_integer_valid_everywhere(self):
-        check = FiniteAdele(5).is_valid()
-        assert check.valid and check.violations == ()
-
-    def test_exceptional_set_covers_denominator(self):
-        adele = FiniteAdele(Fraction(7, 8), ((2, Fraction(7, 8)),))
-        assert adele.is_valid().valid
-
-    def test_uncovered_denominator_diagnosed(self):
-        check = FiniteAdele(Fraction(7, 8)).is_valid()
-        assert not check.valid
-        assert check.violations == (2,)
-
-    def test_component_lookup(self):
-        adele = FiniteAdele(Fraction(7, 8), ((2, Fraction(1, 2)),))
-        assert adele.component(P2) == Fraction(1, 2)
-        assert adele.component(P3) == Fraction(7, 8)
-        assert adele.component(INFINITY_PLACE) == Fraction(7, 8)
-
-    def test_exceptional_keys_must_be_prime(self):
-        with pytest.raises(DomainError):
-            FiniteAdele(Fraction(1), ((4, Fraction(1)),))
-
-    @pytest.mark.parametrize("build", [
-        lambda: FiniteAdele(Fraction(1, 2), ((3, 1), (3, 5))),
-        lambda: FiniteAdele(Fraction(1, 2), ((5, 1), (3, 2), (5, 1))),
-        lambda: FiniteAdele(1, ((3, 1), (3, 1))),
-    ])
-    def test_a_prime_listed_twice_is_rejected(self, build):
-        # component() would silently return the first of the two
-        with pytest.raises(DomainError, match="prime [35] is listed twice"):
-            build()
-
-    @pytest.mark.parametrize("exceptional", [
-        {2: Fraction(1, 2)},
-        (2,),
-        ((2, Fraction(1, 2), 3),),
-    ])
-    def test_an_entry_that_is_not_a_pair_is_rejected(self, exceptional):
-        with pytest.raises(DomainError, match=r"must be \(prime, value\) pairs"):
-            FiniteAdele(Fraction(7, 8), exceptional)
 
 
 # the largest prime below 10**6

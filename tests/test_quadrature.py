@@ -19,7 +19,7 @@ def mellin_integrand(a):
 
 
 def fourier_integrand(k):
-    # the integrand of gauss.gaussian_fourier_residual
+    # the integrand of gaussian_fourier_residual in tests/oracles.py
     return lambda x: math.exp(-math.pi * x * x) * math.cos(2 * math.pi * k * x)
 
 

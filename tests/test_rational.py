@@ -30,6 +30,7 @@ from oracles import (
     factorize_by_trial_and_rho,
     strong_probable_prime_all_bases,
     strong_probable_prime_to,
+    valuation_by_division,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -251,19 +252,6 @@ class TestFactorize:
         assert all(is_prime(p) for p in f)
 
 
-def valuation_by_single_factors(x, p):
-    """Reference valuation of nonzero x: divide out one factor p at a time."""
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 class TestValuation:
     def test_examples(self):
         assert valuation(12, 2) == 2
@@ -279,7 +267,19 @@ class TestValuation:
         for _ in range(5_000):
             p = rng.choice((2, 3, 5, 7, 97))
             x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * Fraction(p) ** rng.randint(-300, 300)
-            assert valuation(x, p) == valuation_by_single_factors(x, p), (x, p)
+            assert valuation(x, p) == valuation_by_division(x, p), (x, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 97, 2**61 - 1])
+    def test_division_oracle_matches(self, p):
+        # the oracles' own valuation, across 64 and 128 factors, signs and zero
+        rng = random.Random(p)
+        assert valuation_by_division(Fraction(0), p) == valuation(0, p) == INFINITE
+        for v in (*range(-3, 4), 63, 64, 65, -64, -65, 127, 128, -129, 300):
+            for _ in range(5):
+                num = rng.randint(-10**6, 10**6) * p + rng.randint(1, p - 1)
+                unit = Fraction(num, rng.randint(1, 10**6) * p + 1)
+                x = unit * Fraction(p) ** v
+                assert valuation_by_division(x, p) == valuation(x, p) == v, (x, p)
 
     @pytest.mark.parametrize("unit, p, v", [(3, 2, 200_000), (7, 5, -50_000)])
     def test_high_valuation_is_cheap(self, unit, p, v):

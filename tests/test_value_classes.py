@@ -1,9 +1,9 @@
-"""The six validating value classes behave as immutable values.
+"""The five validating value classes behave as immutable values.
 
 Each case gives a class, the arguments of one instance by position and by
 keyword, the fields that instance must hold after normalization, and its
 exact repr.  Equality, hashing, repr, immutability, copying and pickling are
-checked the same way for all six, so the behaviour does not depend on how a
+checked the same way for all five, so the behaviour does not depend on how a
 class is written.
 
 Products of the exact values skip the checking constructors (``_make``), and
@@ -26,7 +26,6 @@ from adelic import gauss
 from adelic.dynamics import MoebiusMap
 from adelic.local import (
     INFINITY_PLACE,
-    FiniteAdele,
     Place,
     RootOfUnity,
     _Value,
@@ -57,21 +56,6 @@ CASES = (
         (Fraction(1, 3),),
         "RootOfUnity(phase=Fraction(1, 3))",
     ),
-    (
-        FiniteAdele,
-        (Fraction(1, 2), ((5, Fraction(1, 5)), (3, 1))),
-        {"real_component": Fraction(1, 2), "exceptional": ((3, 1), (5, Fraction(1, 5)))},
-        (Fraction(1, 2), ((3, Fraction(1)), (5, Fraction(1, 5)))),
-        "FiniteAdele(real_component=Fraction(1, 2), "
-        "exceptional=((3, Fraction(1, 1)), (5, Fraction(1, 5))))",
-    ),
-    (
-        FiniteAdele,
-        (7,),
-        {"real_component": Fraction(7)},
-        (Fraction(7), ()),
-        "FiniteAdele(real_component=Fraction(7, 1), exceptional=())",
-    ),
     (EighthRoot, (11,), {"k": -5}, (3,), "EighthRoot(k=3)"),
     (
         ExactFactor,
@@ -93,7 +77,6 @@ CASES = (
 FIELDS = {
     Place: ("prime",),
     RootOfUnity: ("phase",),
-    FiniteAdele: ("real_component", "exceptional"),
     EighthRoot: ("k",),
     ExactFactor: ("root", "mag2", "phase"),
     MoebiusMap: ("a", "b", "c", "d"),
@@ -132,7 +115,6 @@ def test_fields_differ_means_values_differ():
     assert Place(2) != Place(3)
     assert EighthRoot(1) != EighthRoot(2)
     assert ExactFactor(EighthRoot(0), 1, RootOfUnity(0)) != ExactFactor(EighthRoot(0), 4, RootOfUnity(0))
-    assert FiniteAdele(1, ((3, 1),)) != FiniteAdele(1, ((3, 2),))
 
 
 @pytest.mark.parametrize("cls, args, kwargs, fields, text", CASES, ids=IDS)
