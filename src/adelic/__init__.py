@@ -4,6 +4,8 @@ indices, Gauss integrals, propagator kernels, local gamma/beta/zeta factors,
 and the arithmetic of determinant-one linear fractional maps.
 """
 
+from types import ModuleType as _ModuleType
+
 from .rational import (
     DigitExpansion,
     DomainError,
@@ -13,7 +15,6 @@ from .rational import (
     is_prime,
     parse_rational,
     support,
-    unit_part,
     valuation,
 )
 from .local import (
@@ -67,4 +68,5 @@ from .verifier import (
     default_registry,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules those imports bind
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

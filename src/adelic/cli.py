@@ -24,7 +24,7 @@ from . import gauss, special
 from .local import Place, RootOfUnity, additive_character, frac_part, local_abs, parse_place
 from .rational import DomainError, digit_expansion, parse_rational
 from .symbols import EighthRoot, ExactFactor, hilbert_symbol, legendre_symbol, weil_index
-from .verifier import REGISTRY, format_complex, parse_complex
+from .verifier import EXACT_PASS, NUMERIC_PASS, REGISTRY, format_complex, parse_complex
 
 
 def _emit(ns: argparse.Namespace, payload: dict, text: str) -> None:
@@ -268,15 +268,15 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     if ns.json:
         print(report.to_json())
     else:
-        if report.verdict == "ExactPass":
+        if report.verdict == EXACT_PASS:
             factors = " × ".join(v for _, v in report.factors)
             print(f"1 = {factors} ✓ exact")
-        elif report.verdict == "NumericPass":
+        elif report.verdict == NUMERIC_PASS:
             print(f"residual {report.residual:.3e} within tolerance {ns.tol:g} ✓ numeric")
         else:
             detail = report.diagnostic or f"residual {report.residual}"
             print(f"FAIL: {detail}")
-    return 0 if report.verdict in ("ExactPass", "NumericPass") else 1
+    return 0 if report.verdict in (EXACT_PASS, NUMERIC_PASS) else 1
 
 
 def _cmd_suite(ns: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .local import Place, _Value, places_for
-from .rational import DomainError, RationalLike, _as_fraction, _valuation, random_rational
+from .rational import DomainError, RationalLike, _as_fraction, _as_int, _valuation, random_rational
 from .symbols import _sqrt_exact
 
 ATTRACTIVE = "attractive"
@@ -120,12 +120,6 @@ class FixedPointReport(NamedTuple):
     per_place: tuple[tuple[Place, str], ...]
     exceptional: tuple[Place, ...]
 
-    def label_at(self, place: Place) -> str:
-        for v, label in self.per_place:
-            if v == place:
-                return label
-        return INDIFFERENT
-
 
 class DynamicsReport(NamedTuple):
     reports: tuple[FixedPointReport, ...]
@@ -198,7 +192,7 @@ def orbit_probe(
     numerator and denominator have more than _MAX_ORBIT_BITS bits together
     raises DomainError (cost guards).
     """
-    if not 0 <= steps <= _MAX_ORBIT_STEPS:
+    if not 0 <= _as_int(steps, "orbit steps") <= _MAX_ORBIT_STEPS:
         raise DomainError(f"orbit steps must lie in [0, {_MAX_ORBIT_STEPS}], got {steps}")
     x_star = _as_fraction(fixed_point, "fixed_point")
     if f.apply(x_star) != x_star:

@@ -166,10 +166,6 @@ class RootOfUnity(_Value):
     def __init__(self, phase: RationalLike) -> None:
         object.__setattr__(self, "phase", _as_fraction(phase, "phase") % 1)
 
-    @staticmethod
-    def one() -> "RootOfUnity":
-        return _PHASE_ONE
-
     @property
     def is_one(self) -> bool:
         return self.phase == 0

@@ -22,15 +22,21 @@ class DomainError(ValueError):
     """An argument falls outside an operation's mathematical domain."""
 
 
+def _as_int(x: object, name: str, expected: str = "an integer") -> int:
+    # an integer argument is an int: a float, a string or a Fraction, even a
+    # whole one, is refused rather than converted, and a bool is no number here
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise DomainError(f"{name} must be {expected}, got {x!r}")
+
+
 def _as_fraction(x: object, name: str) -> Fraction:
     # an exact argument is an int or a Fraction: a Fraction comes back as it
     # is, an int converted.  Fraction() would also read a float's binary
-    # expansion or parse a string, and a bool is no number here
+    # expansion or parse a string
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise DomainError(f"{name} must be an int or a Fraction, got {x!r}")
+    return Fraction(_as_int(x, name, "an int or a Fraction"))
 
 
 # psi_k (OEIS A014233): the least odd composite that is a strong pseudoprime
@@ -74,6 +80,12 @@ _RHO_FULL_BITS = 128
 # Steps between two gcds in Brent's rho.
 _RHO_BATCH = 128
 
+# factorize refuses a cofactor past this many bits before the first
+# Miller-Rabin base.  A product of two large primes ends in DomainError at any
+# size, at the rho cap, but reaching it took 0.21 s at 3,482 bits, 2.05 s at
+# 8,676 and 8.0 s at 14,112 (one CPU of a 2-vCPU Xeon).
+_MAX_COFACTOR_BITS = 4096
+
 
 @lru_cache(maxsize=8)
 def primes_up_to(n: int) -> tuple[int, ...]:
@@ -104,7 +116,7 @@ def is_prime(n: int) -> bool:
     One gcd screens n against the twelve primes up to 37; a survivor gets
     Miller-Rabin to the first k of them, for the least k with n < psi_k.
     """
-    if n >= _PRIME_LIMIT:
+    if _as_int(n, "n") >= _PRIME_LIMIT:
         raise DomainError(f"primality test limited to 64-bit integers, got {n}")
     if n < 2:
         return False
@@ -138,7 +150,7 @@ def _strong_probable_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> int:
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise DomainError(f"{p} is not prime")
     return p
 
@@ -152,9 +164,10 @@ def factorize(n: int) -> dict[int, int]:
     factored instead, or split with Brent's rho.  Raises DomainError for a
     cofactor of at least _PSI_12 that passes Miller-Rabin, since the
     witnesses prove nothing there, and for a split that exceeds its rho step
-    cap (_RHO_STEP_LIMIT, scaled down past _RHO_FULL_BITS bits).
+    cap (_RHO_STEP_LIMIT, scaled down past _RHO_FULL_BITS bits), or for a
+    cofactor past _MAX_COFACTOR_BITS bits before any test (cost guard).
     """
-    if n == 0:
+    if _as_int(n, "n") == 0:
         raise DomainError("0 has no prime factorization")
     n = abs(n)
     factors: dict[int, int] = {}
@@ -179,6 +192,10 @@ def factorize(n: int) -> dict[int, int]:
     pending = [(n, 1)] if n > 1 else []
     while pending:
         m, k = pending.pop()
+        if m.bit_length() > _MAX_COFACTOR_BITS:
+            raise DomainError(
+                f"a {m.bit_length()}-bit cofactor exceeds {_MAX_COFACTOR_BITS} bits (cost guard)"
+            )
         # below _TRIAL_BOUND**2, having no factor below the bound makes m prime
         if m < _TRIAL_BOUND**2 or _strong_probable_prime(m):
             if m >= _PSI_12:
@@ -312,14 +329,6 @@ def _multiplicity(n: int, p: int) -> int:
             return e
 
 
-def unit_part(x: RationalLike, p: int) -> Fraction:
-    """x / p**valuation(x, p); a p-adic unit.  x must be nonzero."""
-    x = _as_fraction(x, "x")
-    if x == 0:
-        raise DomainError("0 has no unit part")
-    return Fraction(*_unit_parts(x, p, valuation(x, p)))
-
-
 def _unit_parts(x: Fraction, p: int, v: int) -> tuple[int, int]:
     # numerator and denominator of x / p**v, v the valuation of x != 0 at p:
     # p**|v| divides one part of the reduced x, so the quotient stays reduced
@@ -339,7 +348,7 @@ def support(x: RationalLike) -> tuple[int, ...]:
 
 def random_rational(rng: random.Random, height: int, nonzero: bool = False) -> Fraction:
     """Seeded num/den with |num| <= height, 1 <= den <= height; nonzero redraws a zero num."""
-    if height < 1:
+    if _as_int(height, "height bound") < 1:
         raise DomainError(f"height bound must be at least 1, got {height}")
     num = rng.randint(-height, height)
     while nonzero and num == 0:
@@ -373,11 +382,6 @@ class DigitExpansion(NamedTuple):
     digits: tuple[int, ...]
     prime: int
 
-    def partial_sum(self) -> Fraction:
-        """Exact value of the truncated series."""
-        total = sum(d * self.prime**k for k, d in enumerate(self.digits))
-        return Fraction(self.prime) ** self.valuation * total
-
 
 # The digits are read by splitting the residue in halves (_base_digits), so
 # a request costs a few divmods of its own size, not one per digit: 2**16
@@ -397,7 +401,7 @@ def digit_expansion(x: RationalLike, p: int, n: int) -> DigitExpansion:
     """
     require_prime(p)
     # n itself first: n * log2(p) cannot convert an n past the double range
-    if n > _MAX_DIGIT_BITS or n * math.log2(p) > _MAX_DIGIT_BITS:
+    if _as_int(n, "digit count") > _MAX_DIGIT_BITS or n * math.log2(p) > _MAX_DIGIT_BITS:
         raise DomainError(f"{n} base-{p} digits exceed {_MAX_DIGIT_BITS} bits (cost guard)")
     x = _as_fraction(x, "x")
     if x == 0:

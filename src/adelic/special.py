@@ -120,7 +120,6 @@ class ZetaEvaluator:
     target is validated against fixed reference values in the tests.
     """
 
-    method = "accelerated alternating eta series + reflection"
     target_precision = 1e-12
     # n = 28 + int(1.4 |Im s|) terms; n <= _MAX_TERMS iff 1.4 |Im s| < _MAX_TERMS - 27
     max_imag = (_MAX_TERMS - 27) / 1.4

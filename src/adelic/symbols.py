@@ -16,6 +16,7 @@ from .rational import (
     DomainError,
     RationalLike,
     _as_fraction,
+    _as_int,
     _unit_parts,
     _valuation,
     require_prime,
@@ -32,13 +33,7 @@ class EighthRoot(_Value):
     k: int
 
     def __init__(self, k: int) -> None:
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise DomainError(f"eighth-root exponent must be an integer, got {k!r}")
-        object.__setattr__(self, "k", k % 8)
-
-    @staticmethod
-    def one() -> "EighthRoot":
-        return _ROOTS[0]
+        object.__setattr__(self, "k", _as_int(k, "eighth-root exponent") % 8)
 
     @property
     def is_one(self) -> bool:
@@ -109,7 +104,7 @@ class ExactFactor(_Value):
 
     @staticmethod
     def from_sign(sign: int) -> "ExactFactor":
-        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+        if _as_int(sign, "sign factor", "+1 or -1") not in (1, -1):
             raise DomainError(f"sign factor must be +1 or -1, got {sign!r}")
         return _ROOT_FACTORS[0 if sign == 1 else 4]
 
@@ -155,7 +150,7 @@ def legendre_symbol(a: int, p: int) -> int:
     require_prime(p)
     if p == 2:
         raise DomainError("Legendre symbol requires an odd prime")
-    return _legendre(a, p)
+    return _legendre(_as_int(a, "a"), p)
 
 
 def _legendre(a: int, p: int) -> int:

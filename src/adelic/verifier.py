@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import gauss, special
 from .local import Place, additive_character, local_abs, places_for
-from .rational import _PRIME_LIMIT, _TRIAL_PRIMES, DomainError, parse_rational, random_rational
+from .rational import _PRIME_LIMIT, _TRIAL_PRIMES, DomainError, _as_int, parse_rational, random_rational
 from .special import _POLE_TOL, PoleError
 from .symbols import ExactFactor, hilbert_symbol, weil_index
 
@@ -223,11 +223,11 @@ class Registry:
         self, name: str, trials: int, height_bound: int, seed: int, tol: float = 1e-8
     ) -> SuiteReport:
         fam = self.family(name)
-        if trials < 0:
+        if _as_int(trials, "trial count") < 0:
             raise DomainError(f"trial count must be nonnegative, got {trials}")
         if trials > _MAX_TRIALS:
             raise DomainError(f"a suite runs at most {_MAX_TRIALS} trials (cost guard), got {trials}")
-        if height_bound < 1:  # checked here too: numeric families draw no rationals
+        if _as_int(height_bound, "height bound") < 1:  # checked here too: numeric families draw no rationals
             raise DomainError(f"height bound must be at least 1, got {height_bound}")
         if height_bound > _PRIME_LIMIT:  # a drawn prime past it has no place
             raise DomainError(f"height bound must be at most 2**64, where primality tests end; got {height_bound}")

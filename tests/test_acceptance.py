@@ -63,7 +63,7 @@ from oracles import (
     legendre_table,
     padic_gauss_oracle,
 )
-from test_dynamics import confirm_label_by_orbit
+from test_dynamics import confirm_label_by_orbit, label_at
 
 REGISTRY = default_registry()
 
@@ -199,7 +199,7 @@ def test_kernel_product_and_free_reduction():
             a, b = free_gauss_parameters(x2, x1, T)
             for place in kernel_places(x2, x1, 0, T):
                 correction = ExactFactor(
-                    EighthRoot.one(),
+                    EighthRoot(0),
                     local_abs(4 * T, place) ** -2,
                     additive_character(-T / 2, place),
                 )
@@ -310,13 +310,13 @@ def test_dynamics_exceptional_sets_and_orbits():
         by_point = {r.point: r for r in report.reports}
         origin = by_point[Fraction(0)]
         assert origin.multiplier == 4
-        assert origin.label_at(INFINITY_PLACE) == "repelling"
-        assert origin.label_at(Place(2)) == "attractive"
+        assert label_at(origin, INFINITY_PLACE) == "repelling"
+        assert label_at(origin, Place(2)) == "attractive"
         assert set(origin.exceptional) == {INFINITY_PLACE, Place(2)}
         other = by_point[Fraction(3, 2)]
         assert other.multiplier == Fraction(1, 4)
-        assert other.label_at(INFINITY_PLACE) == "attractive"
-        assert other.label_at(Place(2)) == "repelling"
+        assert label_at(other, INFINITY_PLACE) == "attractive"
+        assert label_at(other, Place(2)) == "repelling"
 
 
 def test_factoring_past_trial_division(capsys):

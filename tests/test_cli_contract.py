@@ -30,6 +30,8 @@ BUDGET_S = 3.0
 BOUNDARY = (
     "0", "inf", "-inf", "nan", "1e308", "-1e308", "1e-308",
     str(2**61 - 1), str(2**64 + 13), "1" + "0" * 400, "1/1" + "0" * 400,
+    # 14,112 bits, past factorize's cofactor cost guard: rho took 8 s to its cap
+    str((2**4423 - 1) * (2**9689 - 1)),
 )
 MALFORMED = ("", " ", "x", "-x", "-", "--", "1/0", "0/0", "1/2/3", "2^3", "0x1f", "1.5.2", "3i", "+-1")
 

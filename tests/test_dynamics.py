@@ -34,6 +34,11 @@ def random_map(rng: random.Random, height: int) -> MoebiusMap:
     return MoebiusMap(a, b, c, (1 + b * c) / a)
 
 
+def label_at(report: FixedPointReport, place: Place) -> str:
+    """The report's label at a place; a place off its table is indifferent."""
+    return dict(report.per_place).get(place, INDIFFERENT)
+
+
 def compose(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
     """The matrix product: f applied after g."""
     return MoebiusMap(
@@ -168,17 +173,17 @@ class TestClassify:
         report = classify(WORKED)
         by_point = {r.point: r for r in report.reports}
         origin = by_point[Fraction(0)]
-        assert origin.label_at(INFINITY_PLACE) == REPELLING
-        assert origin.label_at(P2) == ATTRACTIVE
-        assert origin.label_at(P3) == INDIFFERENT
+        assert label_at(origin, INFINITY_PLACE) == REPELLING
+        assert label_at(origin, P2) == ATTRACTIVE
+        assert label_at(origin, P3) == INDIFFERENT
         assert set(origin.exceptional) == {INFINITY_PLACE, P2}
 
     def test_worked_map_attractive_three_halves(self):
         report = classify(WORKED)
         by_point = {r.point: r for r in report.reports}
         other = by_point[Fraction(3, 2)]
-        assert other.label_at(INFINITY_PLACE) == ATTRACTIVE
-        assert other.label_at(P2) == REPELLING
+        assert label_at(other, INFINITY_PLACE) == ATTRACTIVE
+        assert label_at(other, P2) == REPELLING
         assert set(other.exceptional) == {INFINITY_PLACE, P2}
 
     def test_parabolic_indifferent_everywhere(self):
@@ -320,7 +325,7 @@ def confirm_label_by_orbit(f: MoebiusMap, report, p: int) -> bool:
         return False
     expected = (v0 + step, v0 + 2 * step)
     assert probe.entries == expected, (f, report.point, probe.entries, expected)
-    label = report.label_at(place)
+    label = label_at(report, place)
     if step > 0:
         assert label == ATTRACTIVE
     elif step < 0:

@@ -3,9 +3,12 @@
 ``Fraction()`` would read a float's binary expansion or parse a string, and
 a bool is no number here, so each of them raises DomainError instead.  An
 int or a Fraction gives the value pinned below, which is what the entry
-point returned while it still passed its arguments to ``Fraction()``.
+point returned while it still passed its arguments to ``Fraction()``.  An
+integer argument (a count, a bound, a number to test or factor) is an int
+only: a whole Fraction raises DomainError too.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,8 +29,17 @@ from adelic.local import (
     local_abs,
     places_for,
 )
-from adelic.rational import DomainError, digit_expansion, support, unit_part, valuation
-from adelic.symbols import EighthRoot, ExactFactor, hilbert_symbol, weil_index
+from adelic.rational import (
+    DomainError,
+    digit_expansion,
+    factorize,
+    is_prime,
+    random_rational,
+    support,
+    valuation,
+)
+from adelic.symbols import EighthRoot, ExactFactor, hilbert_symbol, legendre_symbol, weil_index
+from adelic.verifier import REGISTRY
 
 P3 = Place(3)
 KERNEL_INTS = (1, 2, 3, 6)
@@ -55,9 +67,6 @@ ENTRY_POINTS = {
         lambda x: frac_part(x, 3), (7,), "Fraction(0, 1)", (F(7, 9),), "Fraction(7, 9)"
     ),
     "valuation": (lambda x: valuation(x, 3), (18,), "2", (F(7, 9),), "-2"),
-    "unit_part": (
-        lambda x: unit_part(x, 3), (18,), "Fraction(2, 1)", (F(7, 9),), "Fraction(7, 1)"
-    ),
     "digit_expansion": (
         lambda x: digit_expansion(x, 3, 5),
         (18,), "DigitExpansion(valuation=2, digits=(2, 0, 0, 0, 0), prime=3)",
@@ -121,6 +130,20 @@ ENTRY_POINTS = {
 
 BAD = (0.1, 0.5, "1/3", True, None)
 
+# name: call taking the integer argument, the others fixed
+INTEGER_ENTRY_POINTS = {
+    "is_prime": is_prime,
+    "factorize": factorize,
+    "legendre_symbol": lambda a: legendre_symbol(a, 7),
+    "digit_expansion": lambda n: digit_expansion(F(1, 3), 3, n),
+    "orbit_probe": lambda steps: orbit_probe(NINE_X, 2, P3, steps, 0),
+    "random_suite trials": lambda trials: REGISTRY.random_suite("norm-product", trials, 10, 0),
+    "random_suite height_bound": lambda height: REGISTRY.random_suite("norm-product", 2, height, 0),
+    "random_rational": lambda height: random_rational(random.Random(0), height),
+}
+
+NOT_INTEGERS = (True, 2.5, "3", F(3))
+
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_refuses_anything_but_int_or_fraction(name):
@@ -141,6 +164,15 @@ def test_int_and_fraction_values_are_unchanged(name):
     assert repr(call(*ints)) == int_value
     assert repr(call(*map(F, ints))) == int_value
     assert repr(call(*fractions)) == fraction_value
+
+
+@pytest.mark.parametrize("name", INTEGER_ENTRY_POINTS)
+def test_integer_arguments_are_ints(name):
+    call = INTEGER_ENTRY_POINTS[name]
+    call(3)
+    for bad in NOT_INTEGERS:
+        with pytest.raises(DomainError, match="must be an integer, got"):
+            call(bad)
 
 
 def test_kernel_checks_arguments_equal_to_the_remembered_ones():

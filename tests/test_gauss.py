@@ -293,7 +293,7 @@ class TestKernel:
             for place in kernel_places(x2, x1, 0, T):
                 lhs = kernel(x2, x1, 0, T, place)
                 correction = ExactFactor(
-                    EighthRoot.one(),
+                    EighthRoot(0),
                     local_abs(4 * T, place) ** -2,
                     additive_character(-T / 2, place),
                 )

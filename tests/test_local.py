@@ -23,7 +23,6 @@ from adelic.rational import (
     factorize,
     is_prime,
     support,
-    unit_part,
     valuation,
 )
 from adelic.symbols import hilbert_symbol, legendre_symbol, weil_index
@@ -105,7 +104,6 @@ class TestPublicEntryPointsCheckThePrime:
         "call",
         [
             lambda: valuation(10, 6),
-            lambda: unit_part(10, 6),
             lambda: frac_part(Fraction(1, 6), 6),
             lambda: digit_expansion(Fraction(1, 3), 9, 2),
             lambda: legendre_symbol(2, 9),
@@ -268,7 +266,7 @@ class TestUnitPartsPastAMillion:
                 place = Place(p)
                 for a in (x, -x):
                     v, u = _unit_by_division(a, p)
-                    assert unit_part(a, p) == u
+                    assert Fraction(*rational._unit_parts(a, p, v)) == u
                     assert local_abs(a, place) == Fraction(p) ** -v
                     assert digit_expansion(a, p, 6) == digits_by_division(a, p, 6)
                     assert weil_index(a, place).k == _weil_exponent_by_division(a, p), (a, p)

@@ -1,5 +1,7 @@
 """The public names of the package, pinned: an added or removed name shows here."""
 
+from types import ModuleType
+
 import adelic
 
 PUBLIC_NAMES = [
@@ -26,12 +28,10 @@ PUBLIC_NAMES = [
     "complex_gamma",
     "default_registry",
     "digit_expansion",
-    "dynamics",
     "factorize",
     "fixed_points",
     "frac_part",
     "gamma_local",
-    "gauss",
     "gauss_factor",
     "ground_state",
     "hilbert_symbol",
@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "kernel",
     "kernel_phase_argument",
     "legendre_symbol",
-    "local",
     "local_abs",
     "mellin_vacuum",
     "orbit_probe",
@@ -47,14 +46,9 @@ PUBLIC_NAMES = [
     "parse_rational",
     "places_for",
     "random_map_with_rational_fixed_points",
-    "rational",
     "riemann_zeta",
-    "special",
     "support",
-    "symbols",
-    "unit_part",
     "valuation",
-    "verifier",
     "weil_index",
     "zeta_adelic",
     "zeta_local",
@@ -63,3 +57,8 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(adelic.__all__) == PUBLIC_NAMES
+
+
+def test_no_submodule_is_a_public_name():
+    # the submodules stay importable as adelic.<name>, outside __all__
+    assert [name for name in adelic.__all__ if isinstance(getattr(adelic, name), ModuleType)] == []

@@ -233,7 +233,6 @@ def test_trusted_products_equal_the_checked_constructors(seed):
 def test_the_library_returns_the_shared_eighth_roots():
     assert [root.k for root in _ROOTS] == list(range(8))
     assert all(type(root) is EighthRoot for root in _ROOTS)
-    assert EighthRoot.one() is _ROOTS[0]
     for j in range(-8, 16):
         for k in range(-8, 16):
             assert EighthRoot(j) * EighthRoot(k) is _ROOTS[(j + k) % 8]
