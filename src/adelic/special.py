@@ -324,8 +324,8 @@ def mellin_vacuum(a: float) -> MellinComparison:
     powers = list(map(pow, primes, repeat(-a)))
     log_finite = reduce(sub, map(math.log1p, map(neg, powers)), 0.0)
     # tail of log prod (1-p^-a)^-1 over p > _MELLIN_PRIME_BOUND:
-    # sum_k (prime_zeta(k a) - partial_sum(k a)) / k; the k-th term is of
-    # order _MELLIN_PRIME_BOUND**(1 - k a), negligible past k a ~ 4
+    # sum_k (prime_zeta(k a) - partial(k a)) / k, partial over p <= the bound;
+    # the k-th term is of order _MELLIN_PRIME_BOUND**(1 - k a), negligible past k a ~ 4
     log_tail = 0.0
     k = 1
     while k * a < 8.0:
