@@ -5,10 +5,12 @@ a verification failure, 2 for usage or domain errors.  Every subcommand takes
 --json for machine-readable output on stdout; diagnostics go to stderr.
 
 Each subcommand is described once, in the table ``commands()`` returns: its
-help line, its arguments and what it runs.  The nine local-value commands
-(norm, char, hilbert, lambda, gauss, kernel, gamma, beta, zeta) evaluate one
-library function each and share one handler: the kind of an argument decides
-how it is parsed and shown, the type of the value how the result is shown.
+help line, its arguments and what it runs.  The eleven local-value commands
+(norm, frac, char, hilbert, lambda, gauss, kernel, gamma, beta, zeta, wavefn)
+evaluate one library function each and share one handler: the kind of an
+argument decides how it is parsed and shown, the type of the value how the
+result is shown.  Every command builds one payload and prints it, or its text
+line, through ``_emit``.
 """
 
 from __future__ import annotations
@@ -57,8 +59,17 @@ def _adelic_or_place(token: str | None) -> str | Place:
     return parse_place(token)
 
 
+def _finite_prime(token: str, message: str) -> int:
+    """The prime of a finite place; the archimedean place raises DomainError(message)."""
+    place = parse_place(token)
+    if place.is_infinite:
+        raise DomainError(message)
+    return place.prime
+
+
 RATIONAL = Kind(parse_rational)
 PLACE = Kind(parse_place)
+FRAC_PRIME = Kind(lambda t: _finite_prime(t, "fractional parts are defined at finite places only"), int)
 COMPLEX = Kind(parse_complex, lambda z: [z.real, z.imag], shows_token=True)
 ADELIC_OR_PLACE = Kind(_adelic_or_place, options={"nargs": "?", "default": None})
 
@@ -84,6 +95,10 @@ _RENDER: dict[type, Callable[[object], tuple[dict, str]]] = {
         eighth_root_exponent=v.root.k, magnitude_base=str(1 / v.mag2), phase=str(v.phase.phase),
     ),
     complex: lambda v: ({"value": [v.real, v.imag]}, format_complex(v)),
+    gauss.WaveFunctionValue: lambda v: (
+        {"real_factor": v.real_factor, "gate": v.padic_gate, "value": v.value},
+        f"{v.value:.12g} (gate {v.padic_gate})",
+    ),
 }
 
 
@@ -99,7 +114,7 @@ def _cmd_local(ns: argparse.Namespace) -> int:
     for (name, kind), token, parsed in zip(cmd.args, tokens, values):
         payload[name] = kind.payload(parsed)
         labels[name] = token if kind.shows_token else str(parsed)
-    _emit(ns, payload, f"{cmd.head.format(**labels)}_{labels['place']} = {shown}")
+    _emit(ns, payload, f"{cmd.head.format(**labels)} = {shown}")
     return 0
 
 
@@ -107,8 +122,8 @@ class Command(NamedTuple):
     """One subcommand: its help line, its arguments in order, and what it runs.
 
     A local-value command gives the library function it evaluates and the head
-    of its text line (a format of the argument labels; the place and the value
-    follow), and each of its arguments is a Kind.  Any other command gives its
+    of its text line (a format of the argument labels; the value follows),
+    and each of its arguments is a Kind.  Any other command gives its
     own handler, and argparse keywords for each argument.
     """
 
@@ -118,14 +133,6 @@ class Command(NamedTuple):
     handler: Callable[[argparse.Namespace], int] = _cmd_local
     evaluate: Callable[..., object] | None = None
     head: str = ""
-
-
-def _finite_prime(token: str, message: str) -> int:
-    """The prime of a finite place; the archimedean place raises DomainError(message)."""
-    place = parse_place(token)
-    if place.is_infinite:
-        raise DomainError(message)
-    return place.prime
 
 
 def _tolerance(token: str) -> float:
@@ -146,14 +153,6 @@ def _cmd_digits(ns: argparse.Namespace) -> int:
     payload = {"op": "digits", "x": str(x), "prime": p, "valuation": exp.valuation, "digits": list(exp.digits)}
     terms = " + ".join(f"{d}*{p}^{k}" for k, d in enumerate(exp.digits))
     _emit(ns, payload, f"{x} = {p}^{exp.valuation} * ({terms} + ...)")
-    return 0
-
-
-def _cmd_frac(ns: argparse.Namespace) -> int:
-    x = parse_rational(ns.x)
-    p = _finite_prime(ns.prime, "fractional parts are defined at finite places only")
-    value = frac_part(x, p)
-    _emit(ns, {"op": "frac", "x": str(x), "prime": p, "value": str(value)}, f"{{{x}}}_{p} = {value}")
     return 0
 
 
@@ -180,37 +179,12 @@ def _cmd_mellin(ns: argparse.Namespace) -> int:
     return 0 if comparison.residual <= ns.tol else 1
 
 
-def _cmd_wavefn(ns: argparse.Namespace) -> int:
-    x = parse_rational(ns.x)
-    psi = gauss.ground_state(x)
-    payload = {
-        "op": "wavefn",
-        "x": str(x),
-        "real_factor": psi.real_factor,
-        "gate": psi.padic_gate,
-        "value": psi.value,
-    }
-    _emit(ns, payload, f"vacuum({x}) = {psi.value:.12g} (gate {psi.padic_gate})")
-    return 0
-
-
 def _cmd_dynamics(ns: argparse.Namespace) -> int:
     entries = [parse_rational(t) for t in (ns.a, ns.b, ns.c, ns.d)]
     f = dyn.MoebiusMap(*entries)
     if ns.action == "classify":
         report = dyn.classify(f)
-        lines = []
-        for r in report.reports:
-            table = ", ".join(f"{v}: {label}" for v, label in r.per_place)
-            exceptional = "{" + ",".join(str(v) for v in r.exceptional) + "}"
-            lines.append(
-                f"fixed point {r.point}: multiplier {r.multiplier}; {table}; "
-                f"all other places indifferent; exceptional set {exceptional}"
-            )
-        if report.irrational_discriminant is not None:
-            lines.append(f"conjugate irrational pair, discriminant {report.irrational_discriminant}")
-        if not lines:
-            lines.append("no fixed point data")
+        discriminant = report.irrational_discriminant
         payload = {
             "op": "dynamics",
             "fixed_points": [
@@ -222,11 +196,18 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
                 }
                 for r in report.reports
             ],
-            "irrational_discriminant": (
-                None if report.irrational_discriminant is None else str(report.irrational_discriminant)
-            ),
+            "irrational_discriminant": None if discriminant is None else str(discriminant),
         }
-        _emit(ns, payload, "\n".join(lines))
+        lines = []
+        for r in payload["fixed_points"]:
+            table = ", ".join(f"{v}: {label}" for v, label in r["classification"].items())
+            lines.append(
+                f"fixed point {r['point']}: multiplier {r['multiplier']}; {table}; "
+                f"all other places indifferent; exceptional set {{{','.join(r['exceptional'])}}}"
+            )
+        if discriminant is not None:
+            lines.append(f"conjugate irrational pair, discriminant {discriminant}")
+        _emit(ns, payload, "\n".join(lines) or "no fixed point data")
         return 0
     # orbit
     place = parse_place(ns.place)
@@ -255,27 +236,20 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     fam = REGISTRY.family(ns.family)
     args = fam.parse(ns.args)
     report = REGISTRY.verify(ns.family, args, tol=ns.tol)
+    payload = report.to_dict()
+    factors = payload["factors"]
     if ns.places and fam.exact:
         # show factors at extra requested places; off-support they are 1
-        shown = {place for place, _ in report.factors}
-        extra = []
-        for token in ns.places.split(","):
-            place = parse_place(token)
-            if str(place) not in shown:
-                shown.add(str(place))
-                extra.append((str(place), str(fam.factor(place, args))))
-        report = report._replace(factors=report.factors + tuple(extra))
-    if ns.json:
-        print(report.to_json())
+        for place in map(parse_place, ns.places.split(",")):
+            if str(place) not in {f["place"] for f in factors}:
+                factors.append({"place": str(place), "value": str(fam.factor(place, args))})
+    if report.verdict == EXACT_PASS:
+        text = f"1 = {' × '.join(f['value'] for f in factors)} ✓ exact"
+    elif report.verdict == NUMERIC_PASS:
+        text = f"residual {report.residual:.3e} within tolerance {ns.tol:g} ✓ numeric"
     else:
-        if report.verdict == EXACT_PASS:
-            factors = " × ".join(v for _, v in report.factors)
-            print(f"1 = {factors} ✓ exact")
-        elif report.verdict == NUMERIC_PASS:
-            print(f"residual {report.residual:.3e} within tolerance {ns.tol:g} ✓ numeric")
-        else:
-            detail = report.diagnostic or f"residual {report.residual}"
-            print(f"FAIL: {detail}")
+        text = f"FAIL: {report.diagnostic or f'residual {report.residual}'}"
+    _emit(ns, payload, text)
     return 0 if report.verdict in (EXACT_PASS, NUMERIC_PASS) else 1
 
 
@@ -283,13 +257,12 @@ def _cmd_suite(ns: argparse.Namespace) -> int:
     report = REGISTRY.random_suite(
         ns.family, trials=ns.trials, height_bound=ns.height, seed=ns.seed, tol=ns.tol
     )
-    if ns.json:
-        print(report.to_json())
-    else:
-        counts = ", ".join(f"{k}: {v}" for k, v in report.verdicts)
-        print(f"{ns.family}: {report.trials} trials, {counts}")
-        for failure in report.failures[:10]:
-            print(f"  FAIL #{failure['index']} args {failure['args']}: {failure['diagnostic']}")
+    counts = ", ".join(f"{k}: {v}" for k, v in report.verdicts)
+    lines = [f"{ns.family}: {report.trials} trials, {counts}"] + [
+        f"  FAIL #{failure['index']} args {failure['args']}: {failure['diagnostic']}"
+        for failure in report.failures[:10]
+    ]
+    _emit(ns, report.to_dict(), "\n".join(lines))
     return 0 if report.all_passed else 1
 
 
@@ -302,30 +275,33 @@ def commands() -> tuple[Command, ...]:
     tol = ("--tol", {"type": _tolerance, "default": 1e-8})
     x, place = ("x", RATIONAL), ("place", PLACE)
     return (
-        Command("norm", "local absolute value |x|_v", (x, place), evaluate=local_abs, head="|{x}|"),
+        Command("norm", "local absolute value |x|_v", (x, place), evaluate=local_abs, head="|{x}|_{place}"),
         Command("digits", "canonical base-p digits",
                 (("x", {}), ("prime", {}), ("count", {"type": int})), _cmd_digits),
-        Command("frac", "p-adic fractional part", (("x", {}), ("prime", {})), _cmd_frac),
+        Command("frac", "p-adic fractional part", (x, ("prime", FRAC_PRIME)),
+                evaluate=frac_part, head="{{{x}}}_{prime}"),
         Command("char", "additive character value", (x, place),
-                evaluate=additive_character, head="character({x})"),
+                evaluate=additive_character, head="character({x})_{place}"),
         Command("legendre", "Legendre symbol (a/p)", (("a", {"type": int}), ("prime", {})), _cmd_legendre),
         Command("hilbert", "Hilbert symbol (x,y)_v", (x, ("y", RATIONAL), place),
-                evaluate=hilbert_symbol, head="({x},{y})"),
-        Command("lambda", "Weil index at a place", (x, place), evaluate=weil_index, head="lambda({x})"),
+                evaluate=hilbert_symbol, head="({x},{y})_{place}"),
+        Command("lambda", "Weil index at a place", (x, place),
+                evaluate=weil_index, head="lambda({x})_{place}"),
         Command("gauss", "closed-form local Gauss integral", (("a", RATIONAL), ("b", RATIONAL), place),
-                evaluate=gauss.gauss_factor, head="gauss({a},{b})"),
+                evaluate=gauss.gauss_factor, head="gauss({a},{b})_{place}"),
         Command("kernel", "local propagator kernel value",
                 (("x2", RATIONAL), ("x1", RATIONAL), ("accel", RATIONAL), ("T", RATIONAL), place),
-                evaluate=gauss.kernel, head="kernel({x2},{x1};accel={accel},T={T})"),
+                evaluate=gauss.kernel, head="kernel({x2},{x1};accel={accel},T={T})_{place}"),
         Command("gamma", "local gamma factor", (("a", COMPLEX), place),
-                evaluate=special.gamma_local, head="gamma({a})"),
+                evaluate=special.gamma_local, head="gamma({a})_{place}"),
         Command("beta", "local beta value", (("a", COMPLEX), ("b", COMPLEX), place),
-                evaluate=special.beta_local, head="beta({a},{b})"),
+                evaluate=special.beta_local, head="beta({a},{b})_{place}"),
         Command("zeta", "local or completed zeta value", (("a", COMPLEX), ("place", ADELIC_OR_PLACE)),
-                evaluate=_zeta, head="zeta({a})"),
+                evaluate=_zeta, head="zeta({a})_{place}"),
         Command("mellin", "vacuum Mellin transform, numeric vs closed form",
                 (("a", {"type": float}), tol), _cmd_mellin),
-        Command("wavefn", "adelic vacuum value at a rational point", (("x", {}),), _cmd_wavefn),
+        Command("wavefn", "adelic vacuum value at a rational point", (x,),
+                evaluate=gauss.ground_state, head="vacuum({x})"),
         Command("dynamics", "fixed points and local classification", (
             ("action", {"choices": ["classify", "orbit"]}),
             ("a", {}), ("b", {}), ("c", {}), ("d", {}),

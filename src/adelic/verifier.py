@@ -78,6 +78,12 @@ class ProductFamily:
     evaluate: Callable[[tuple], NumericEvaluation] | None = None
 
 
+def _to_json(report) -> str:
+    import json  # deferred: only --json output serializes
+
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
 class VerificationReport(NamedTuple):
     family: str
     args: tuple[str, ...]
@@ -96,10 +102,7 @@ class VerificationReport(NamedTuple):
             "diagnostic": self.diagnostic,
         }
 
-    def to_json(self) -> str:
-        import json  # deferred: only --json output serializes
-
-        return json.dumps(self.to_dict(), sort_keys=True)
+    to_json = _to_json
 
 
 class SuiteReport(NamedTuple):
@@ -125,10 +128,7 @@ class SuiteReport(NamedTuple):
             "all_passed": self.all_passed,
         }
 
-    def to_json(self) -> str:
-        import json  # deferred: only --json output serializes
-
-        return json.dumps(self.to_dict(), sort_keys=True)
+    to_json = _to_json
 
 
 class Registry:
@@ -258,8 +258,9 @@ class Registry:
         )
 
 
-def _check_count(tokens: list[str], signature: str) -> None:
-    if len(tokens) != len(signature.split()):
+def _check_count(items: list | tuple, signature: str) -> None:
+    # the tokens parse reads or the arguments render shows
+    if len(items) != len(signature.split()):
         raise DomainError(f"expected {len(signature.split())} argument(s): {signature}")
 
 
@@ -285,13 +286,16 @@ def _exact_family(
             args.append(x)
         return tuple(args)
 
+    def render(args: tuple) -> tuple[str, ...]:
+        _check_count(args, signature)
+        return tuple(map(str, args))
+
     def sample(rng: random.Random, height: int) -> tuple:
         return tuple(random_rational(rng, height, nonzero=flag) for flag in flags)
 
     return ProductFamily(
-        name=name, usage=f"{name} {signature}   ({note})", exact=True, parse=parse,
-        render=lambda args: tuple(map(str, args)), sample=sample,
-        factor=factor, relevant_places=relevant_places,
+        name=name, usage=f"{name} {signature}   ({note})", exact=True, parse=parse, render=render,
+        sample=sample, factor=factor, relevant_places=relevant_places,
     )
 
 
@@ -323,6 +327,13 @@ def _numeric_family(
         _check_count(tokens, signature)
         return tuple(map(parse_complex, tokens))
 
+    def render(args: tuple) -> tuple[str, ...]:
+        _check_count(args, signature)
+        for z in args:  # a loop: any() over a generator costs 1-2% of a numeric verification
+            if isinstance(z, bool) or not isinstance(z, (int, float, complex)):
+                raise DomainError(f"{name} takes int, float or complex arguments, got {args!r}")
+        return tuple(map(format_complex, args))
+
     def sample(rng: random.Random, height: int) -> tuple:
         while True:
             args = tuple(_off_poles(rng) for _ in signature.split())
@@ -330,8 +341,8 @@ def _numeric_family(
                 return args
 
     return ProductFamily(
-        name=name, usage=f"{name} {signature}   ({note})", exact=False, parse=parse,
-        render=lambda args: tuple(map(format_complex, args)), sample=sample, evaluate=evaluate,
+        name=name, usage=f"{name} {signature}   ({note})", exact=False, parse=parse, render=render,
+        sample=sample, evaluate=evaluate,
     )
 
 

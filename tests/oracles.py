@@ -18,6 +18,9 @@ rather than independent oracles:
   Gaussian;
 - free_gauss_parameters, the (a, b) that the zero-acceleration kernel
   reduces to.
+
+factor_table is no oracle: it reads a verification report's factors as
+(place, text) pairs through to_dict(), the form the report's JSON gives.
 """
 
 from __future__ import annotations
@@ -367,6 +370,11 @@ def free_gauss_parameters(
     """
     T = Fraction(duration)
     return Fraction(-1) / (8 * T), (Fraction(x_out) - Fraction(x_in)) / (4 * T)
+
+
+def factor_table(report) -> tuple[tuple[str, str], ...]:
+    """The (place, value) text pairs of a verification report, read through to_dict()."""
+    return tuple((f["place"], f["value"]) for f in report.to_dict()["factors"])
 
 
 def is_p_integral(x: Fraction, p: int) -> bool:

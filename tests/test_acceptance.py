@@ -56,6 +56,7 @@ from adelic.symbols import (
 from adelic.verifier import default_registry
 
 from oracles import (
+    factor_table,
     free_gauss_parameters,
     gaussian_fourier_residual,
     hilbert_solvable,
@@ -127,8 +128,8 @@ def test_lambda_product_bulk():
             x = _rand_rational(rng, 10**6, nonzero=True)
             report = REGISTRY.verify("lambda-product", (x,))
             assert report.verdict == "ExactPass"
-            roots = [weil_index(x, parse_place(place)) for place, _ in report.factors]
-            assert [value for _, value in report.factors] == [str(w) for w in roots]
+            roots = [weil_index(x, parse_place(place)) for place, _ in factor_table(report)]
+            assert [value for _, value in factor_table(report)] == [str(w) for w in roots]
             assert sum(w.k for w in roots) % 8 == 0
 
 

@@ -56,6 +56,7 @@ _UNTYPED = {"prime": PLACES, "--place": PLACES, "family": FAMILIES, "--places": 
 _KINDS = {
     cli.RATIONAL.parse: RATIONALS,
     cli.PLACE.parse: PLACES,
+    cli.FRAC_PRIME.parse: PLACES,
     cli.COMPLEX.parse: COMPLEXES,
     cli.ADELIC_OR_PLACE.parse: PLACES | st.sampled_from(("adelic", "a", "ADELIC")),
 }

@@ -23,6 +23,8 @@ from adelic.verifier import (
     parse_complex,
 )
 
+from oracles import factor_table
+
 
 @pytest.fixture(scope="module")
 def registry():
@@ -68,6 +70,19 @@ class TestParseComplex:
             assert parse_complex(format_complex(z)) == z, z
 
 
+# argument tuples of the wrong length or type, and what verify says of each
+MALFORMED_ARGS = [
+    ("norm-product", (Fraction(2), Fraction(3)), r"^expected 1 argument\(s\): x$"),
+    ("norm-product", (), r"^expected 1 argument\(s\): x$"),
+    ("hilbert-product", (Fraction(2),), r"^expected 2 argument\(s\): x y$"),
+    ("kernel-product", (1, 2, 3), r"^expected 4 argument\(s\): x2 x1 accel T$"),
+    ("beta-product", (0.3 + 0.2j,), r"^expected 2 argument\(s\): a b$"),
+    ("gamma-product", ("x",), r"^gamma-product takes int, float or complex arguments, got \('x',\)$"),
+    ("gamma-product", (True,), r"^gamma-product takes int, float or complex arguments, got \(True,\)$"),
+    ("functional-equation", (Fraction(1, 2),), "^functional-equation takes int, float or complex arguments"),
+]
+
+
 class TestRegistry:
     def test_builtins_present(self, registry):
         assert set(registry.names()) >= {
@@ -91,10 +106,19 @@ class TestRegistry:
         with pytest.raises(DomainError):
             registry.verify("no-such-family", (Fraction(1),))
 
+    @pytest.mark.parametrize(
+        "name, args, message", MALFORMED_ARGS, ids=[f"{n}{a!r}" for n, a, _ in MALFORMED_ARGS]
+    )
+    def test_a_malformed_argument_tuple_is_refused(self, registry, name, args, message):
+        # render, which verify calls first, checks the count and, for a
+        # numeric family, the type of every argument
+        with pytest.raises(DomainError, match=message):
+            registry.verify(name, args)
+
     def test_norm_product_table(self, registry):
         report = registry.verify("norm-product", (Fraction(12),))
         assert report.verdict == EXACT_PASS
-        assert report.factors == (("inf", "12"), ("2", "1/4"), ("3", "1/3"))
+        assert factor_table(report) == (("inf", "12"), ("2", "1/4"), ("3", "1/3"))
 
     def test_character_product(self, registry):
         report = registry.verify("character-product", (Fraction(7, 8),))
@@ -156,7 +180,7 @@ class TestRegistry:
             )
         )
         report = reg.verify("character-without-largest-denominator-prime", (Fraction(7, 12),))
-        assert [place for place, _ in report.factors] == ["inf", "2", "7"]
+        assert [place for place, _ in factor_table(report)] == ["inf", "2", "7"]
         assert report.verdict == FAIL
         assert report.diagnostic.startswith("combined factor ")
 
