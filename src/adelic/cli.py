@@ -234,11 +234,13 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
     fam = REGISTRY.family(ns.family)
+    if ns.places and not fam.exact:
+        raise DomainError("--places tabulates the factors of an exact family only")
     args = fam.parse(ns.args)
     report = REGISTRY.verify(ns.family, args, tol=ns.tol)
     payload = report.to_dict()
     factors = payload["factors"]
-    if ns.places and fam.exact:
+    if ns.places:
         # show factors at extra requested places; off-support they are 1
         for place in map(parse_place, ns.places.split(",")):
             if str(place) not in {f["place"] for f in factors}:

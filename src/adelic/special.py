@@ -86,16 +86,20 @@ def _largest_term_count() -> int:
 _MAX_TERMS = _largest_term_count()
 
 
+# log(k + 1) for k < _MAX_TERMS, complex like the weights; n terms read the first n
+_LOGS = tuple(complex(math.log(k)) for k in range(1, _MAX_TERMS + 1))
+
+
 @lru_cache(maxsize=64)
-def _borwein_series(n: int) -> tuple[tuple[complex, ...], tuple[complex, ...], int]:
-    """Signed weights (-1)**k (d_k - d_n), log(k + 1) for k < n, and d_n.
+def _borwein_series(n: int) -> tuple[tuple[complex, ...], int]:
+    """Signed weights (-1)**k (d_k - d_n) for k < n, and d_n.
 
     d_k = n * sum_{i<=k} (n+i-1)! 4**i / ((n-i)! (2i)!) is computed in exact
     integers (every summand is an integer), and each weight is rounded once
-    to a double.  Weights and logarithms are held as complex numbers with
-    zero imaginary part, the form a real operand of a complex product is
-    converted to, which saves that conversion per term.  The tests compare
-    every bit with a loop that converts exact integer weights term by term.
+    to a double.  Weights are held as complex numbers with zero imaginary
+    part, the form a real operand of a complex product is converted to, which
+    saves that conversion per term.  The tests compare every bit with a loop
+    that converts exact integer weights term by term.
     """
     term = 1
     d = [1]
@@ -104,7 +108,7 @@ def _borwein_series(n: int) -> tuple[tuple[complex, ...], tuple[complex, ...], i
         d.append(d[-1] + term)
     dn = d[n]
     weights = tuple(complex(d[k] - dn if k % 2 == 0 else dn - d[k]) for k in range(n))
-    return weights, tuple(complex(math.log(k)) for k in range(1, n + 1)), dn
+    return weights, dn
 
 
 class ZetaEvaluator:
@@ -153,9 +157,9 @@ class ZetaEvaluator:
         if s == last:
             return value
         n = 28 + int(1.4 * abs(s.imag))
-        weights, logs, dn = _borwein_series(n)
+        weights, dn = _borwein_series(n)
         # reduce adds left to right from 0j on every Python; sum() may compensate
-        acc = reduce(add, map(mul, weights, map(cmath.exp, map(mul, repeat(-s, n), logs))), 0j)
+        acc = reduce(add, map(mul, weights, map(cmath.exp, map(mul, repeat(-s, n), _LOGS))), 0j)
         denom = 1 - 2 ** (1 - s)
         if abs(denom) < 1e-9:
             raise PoleError(f"alternating-series pole point at {s}")

@@ -17,7 +17,6 @@ from .rational import (
     RationalLike,
     _as_fraction,
     _as_int,
-    _unit_parts,
     _valuation,
     require_prime,
 )
@@ -162,25 +161,21 @@ def _legendre(a: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-def _legendre_of_unit(u: tuple[int, int], p: int) -> int:
-    # (num/den / p) = (num/p)(den/p) since the symbol is multiplicative and
-    # squares drop out; u = (num, den) is a p-adic unit, so neither part vanishes.
-    return _legendre(u[0], p) * _legendre(u[1], p)
-
-
-def _unit_mod8(u: tuple[int, int]) -> int:
-    # u = (num, den) a 2-adic unit, odd/odd, resolved modulo 8; an odd square
-    # is 1 mod 8, so den is its own inverse there
-    return u[0] * u[1] % 8
+def _unit(x: Fraction, p: int, v: int) -> int:
+    # v the valuation of x != 0 at p: the unit x / p**v = a / b times the square
+    # b**2, which is prime to p, so the integer a * b has the unit's square class
+    return x.numerator * x.denominator // p ** abs(v)
 
 
 def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
     """Local Hilbert symbol: +1 iff z**2 = x*u**2 + y*w**2 has a nonzero local solution.
 
     Archimedean place: -1 exactly when both arguments are negative.  Finite
-    places use the classical closed form in the valuations and unit parts; the
-    test suite ties it to a solvability search, so the formula never stands
-    alone.
+    places use the classical closed form in the valuations alpha, beta and the
+    units u, w of x = p**alpha u, y = p**beta w; at an odd p it is one Legendre
+    symbol, ((-1)**(alpha beta) u**beta w**alpha / p), as (-1 / p) = (-1)**((p-1)/2)
+    (Serre, A Course in Arithmetic, ch. III, thm. 1).  The test suite ties it
+    to a solvability search, so the formula never stands alone.
     """
     x = _as_fraction(x, "x")
     y = _as_fraction(y, "y")
@@ -191,18 +186,13 @@ def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
     p = place.prime
     alpha = int(_valuation(x, p))
     beta = int(_valuation(y, p))
-    u = _unit_parts(x, p, alpha)
-    w = _unit_parts(y, p, beta)
+    u = _unit(x, p, alpha)
+    w = _unit(y, p, beta)
     if p != 2:
-        eps = (p - 1) // 2
-        sign = -1 if (alpha * beta * eps) % 2 else 1
-        if beta % 2:
-            sign *= _legendre_of_unit(u, p)
-        if alpha % 2:
-            sign *= _legendre_of_unit(w, p)
-        return sign
-    u8 = _unit_mod8(u)
-    w8 = _unit_mod8(w)
+        # the exponents as parities, so that every power stays an int
+        return _legendre((-1) ** (alpha * beta % 2) * u ** (beta % 2) * w ** (alpha % 2), p)
+    u8 = u % 8
+    w8 = w % 8
     eps_u = (u8 - 1) // 2 % 2
     eps_w = (w8 - 1) // 2 % 2
     omega_u = (u8 * u8 - 1) // 8 % 2
@@ -232,11 +222,11 @@ def weil_index(x: RationalLike, place: Place) -> EighthRoot:
         if v % 2 == 0:
             return _ROOTS[0]
         k = 0 if p % 4 == 1 else 2
-        if _legendre_of_unit(_unit_parts(x, p, v), p) == -1:
+        if _legendre(_unit(x, p, v), p) == -1:
             k += 4
         return _ROOTS[k]
     # the unit part is 1 + 2 x1 + 4 x2 modulo 8, with x1, x2 its second and third digits
-    u8 = _unit_mod8(_unit_parts(x, 2, v))
+    u8 = _unit(x, 2, v) % 8
     if v % 2 == 0:
         return _ROOTS[(1 - (u8 & 2)) % 8]
     return _ROOTS[u8]

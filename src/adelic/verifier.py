@@ -332,7 +332,10 @@ def _numeric_family(
         for z in args:  # a loop: any() over a generator costs 1-2% of a numeric verification
             if isinstance(z, bool) or not isinstance(z, (int, float, complex)):
                 raise DomainError(f"{name} takes int, float or complex arguments, got {args!r}")
-        return tuple(map(format_complex, args))
+        try:
+            return tuple(map(format_complex, args))
+        except OverflowError:  # an int past the double range
+            raise DomainError(f"{name} takes arguments within the double range") from None
 
     def sample(rng: random.Random, height: int) -> tuple:
         while True:

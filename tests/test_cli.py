@@ -173,6 +173,15 @@ class TestVerifyAndSuite:
         places = [f["place"] for f in json.loads(out)["factors"]]
         assert places == ["inf", "2", "3", "5"]
 
+    @pytest.mark.parametrize(
+        "argv", [("gamma-product", "2"), ("beta-product", "2", "3"), ("functional-equation", "2")]
+    )
+    def test_verify_places_of_a_numeric_family_refused(self, capsys, argv):
+        # a numeric report holds no exact factor to tabulate at an extra place
+        code, out, err = run(capsys, "verify", *argv, "--places", "5", "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: --places tabulates the factors of an exact family only\n"
+
     def test_verify_unknown_family(self, capsys):
         code, _, err = run(capsys, "verify", "nope-product", "1")
         assert code == 2 and "unknown family" in err

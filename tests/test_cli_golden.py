@@ -184,6 +184,7 @@ CASES = tuple(dict.fromkeys(
     + (
         "verify norm-product 12 --places 5,7,inf",
         "verify kernel-product 1/2 1/3 2 3/5 --places 7,11 --json",
+        "verify gamma-product 2 --places 5",
         "verify norm-product 0",
         "verify no-such-family 1",
     )

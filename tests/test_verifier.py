@@ -80,6 +80,7 @@ MALFORMED_ARGS = [
     ("gamma-product", ("x",), r"^gamma-product takes int, float or complex arguments, got \('x',\)$"),
     ("gamma-product", (True,), r"^gamma-product takes int, float or complex arguments, got \(True,\)$"),
     ("functional-equation", (Fraction(1, 2),), "^functional-equation takes int, float or complex arguments"),
+    ("functional-equation", (10**400,), "^functional-equation takes arguments within the double range$"),
 ]
 
 
@@ -111,7 +112,7 @@ class TestRegistry:
     )
     def test_a_malformed_argument_tuple_is_refused(self, registry, name, args, message):
         # render, which verify calls first, checks the count and, for a
-        # numeric family, the type of every argument
+        # numeric family, the type and the double range of every argument
         with pytest.raises(DomainError, match=message):
             registry.verify(name, args)
 
