@@ -17,14 +17,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .local import (
-    Place,
-    _inverse_abs,
-    additive_character,
-    denominator_places,
-    places_for,
-)
-from .rational import DomainError, RationalLike, _as_fraction
+from .local import INFINITY_PLACE, Place, additive_character, denominator_places, local_abs
+from .rational import DomainError, RationalLike, _as_fraction, support
 from .symbols import ExactFactor, weil_index
 
 def gauss_factor(a: RationalLike, b: RationalLike, place: Place) -> ExactFactor:
@@ -35,7 +29,7 @@ def gauss_factor(a: RationalLike, b: RationalLike, place: Place) -> ExactFactor:
         raise DomainError("quadratic coefficient must be nonzero")
     return ExactFactor._make(
         weil_index(a, place),
-        _inverse_abs(2 * a, place),
+        local_abs(1 / (2 * a), place),
         additive_character(-b * b / (4 * a), place),
     )
 
@@ -63,17 +57,17 @@ def kernel_phase_argument(
     )
 
 
-# (arguments, (phase argument, -8T, 4T)) of the last arguments that kernel or
-# kernel_places saw: one verification asks for them at every place with the
-# same arguments.  One tuple, read once, so a thread race cannot pair one
-# call's arguments with another call's values.
+# (arguments, (phase argument, -8T, 1/(4T))) of the last arguments that
+# kernel or kernel_places saw: one verification asks for them at every place
+# with the same arguments.  One tuple, read once, so a thread race cannot
+# pair one call's arguments with another call's values.
 _last_phase: tuple[tuple, tuple[Fraction, Fraction, Fraction]] = ((), ())
 
 
 def _kernel_terms(
     x_out: RationalLike, x_in: RationalLike, accel: RationalLike, duration: RationalLike
 ) -> tuple[Fraction, Fraction, Fraction]:
-    # kernel_phase_argument, -8T and 4T, remembered for the last arguments;
+    # kernel_phase_argument, -8T and 1/(4T), remembered for the last arguments;
     # the arguments are checked on every call, since 0.5 == Fraction(1, 2)
     global _last_phase
     key = (
@@ -85,7 +79,7 @@ def _kernel_terms(
     last_key, terms = _last_phase
     if key != last_key:
         T = _duration(duration)
-        terms = (kernel_phase_argument(*key), -8 * T, 4 * T)
+        terms = (kernel_phase_argument(*key), -8 * T, 1 / (4 * T))
         _last_phase = (key, terms)
     return terms
 
@@ -105,7 +99,7 @@ def kernel(
     phase, root_argument, abs_argument = _kernel_terms(x_out, x_in, accel, duration)
     return ExactFactor._make(
         weil_index(root_argument, place),
-        _inverse_abs(abs_argument, place),
+        local_abs(abs_argument, place),
         additive_character(phase, place),
     )
 
@@ -127,8 +121,9 @@ def kernel_places(
     den = _kernel_terms(x_out, x_in, accel, duration)[0].denominator
     candidates = denominator_places(x_out, x_in, accel) | {3}
     extra = tuple(p for p in candidates if den % p == 0)
-    # 2, 3 and the primes factorize proved for denominator_places
-    return places_for(T, _proven=(2,) + extra)
+    # 2, 3 and the primes factorize proved for support and denominator_places
+    primes = sorted({2, *extra, *support(T)})
+    return (INFINITY_PLACE,) + tuple(map(Place._proven, primes))
 
 
 class WaveFunctionValue(NamedTuple):

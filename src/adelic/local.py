@@ -29,8 +29,9 @@ class _Value:
     hashes as the tuple of its fields and shows as ``Name(field=value, ...)``.
     Its fields cannot be assigned or deleted: a subclass's ``__init__`` checks
     and normalizes its arguments and stores them with ``object.__setattr__``.
-    Values the library combines from values it built (products, proven places,
-    the eight eighth roots) come from ``_make``, which skips ``__init__``.
+    Values the library builds from parts it has already checked (products,
+    proven places, the eight eighth roots, the local factors) come from
+    ``_make``, which skips ``__init__``, so nothing is checked twice.
     Copies and pickles rebuild the value through ``__init__``.
     """
 
@@ -117,17 +118,13 @@ def parse_place(token: str) -> Place:
     return Place(p)
 
 
-def places_for(
-    *rationals: RationalLike, always: tuple[int, ...] = (), _proven: tuple[int, ...] = ()
-) -> tuple[Place, ...]:
+def places_for(*rationals: RationalLike, always: tuple[int, ...] = ()) -> tuple[Place, ...]:
     """Archimedean place plus the union of supports of the nonzero arguments.
 
     The support primes come from factorize, which has proven them, so their
     places skip the primality check; the primes in ``always`` are checked.
-    ``_proven`` is for callers inside the library that add primes they have
-    proven themselves: those skip the check too.
     """
-    proven: set[int] = set(_proven)
+    proven: set[int] = set()
     for x in rationals:
         x = _as_fraction(x, "x")
         if x != 0:
@@ -201,15 +198,6 @@ def local_abs(x: RationalLike, place: Place) -> Fraction:
     return Fraction(1, p**v) if v > 0 else Fraction(p**-v)
 
 
-def _inverse_abs(x: Fraction, place: Place) -> Fraction:
-    # 1 / |x| at the place for x != 0, from one valuation at a finite place
-    if place.is_infinite:
-        return 1 / abs(x)
-    p = place.prime
-    v = _valuation(x, p)
-    return Fraction(p**v) if v >= 0 else Fraction(1, p**-v)
-
-
 def frac_part(x: RationalLike, p: int) -> Fraction:
     """p-adic fractional part: the tail of the canonical expansion below p**0.
 
@@ -239,6 +227,6 @@ def additive_character(x: RationalLike, place: Place) -> RootOfUnity:
     """Standard additive character: exp(-2*pi*i*x) at infinity, exp(2*pi*i*{x}_p) at p."""
     x = _as_fraction(x, "x")
     if place.is_infinite:
-        return RootOfUnity(-x)
+        return RootOfUnity._make(-x % 1)
     # the fractional part already lies in [0, 1)
     return RootOfUnity._make(_frac_part(x, place.prime))

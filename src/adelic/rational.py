@@ -165,7 +165,8 @@ def factorize(n: int) -> dict[int, int]:
     cofactor of at least _PSI_12 that passes Miller-Rabin, since the
     witnesses prove nothing there, and for a split that exceeds its rho step
     cap (_RHO_STEP_LIMIT, scaled down past _RHO_FULL_BITS bits), or for a
-    cofactor past _MAX_COFACTOR_BITS bits before any test (cost guard).
+    cofactor past _MAX_COFACTOR_BITS bits that is not a perfect square,
+    before any other test (cost guard); a square is factored through its root.
     """
     if _as_int(n, "n") == 0:
         raise DomainError("0 has no prime factorization")
@@ -193,6 +194,10 @@ def factorize(n: int) -> dict[int, int]:
     while pending:
         m, k = pending.pop()
         if m.bit_length() > _MAX_COFACTOR_BITS:
+            root = math.isqrt(m)
+            if root * root == m:  # one isqrt halves a square past the guard
+                pending.append((root, 2 * k))
+                continue
             raise DomainError(
                 f"a {m.bit_length()}-bit cofactor exceeds {_MAX_COFACTOR_BITS} bits (cost guard)"
             )

@@ -91,7 +91,9 @@ class ExactFactor(_Value):
     @classmethod
     def from_magnitude(cls, m: RationalLike) -> "ExactFactor":
         m = _as_fraction(m, "magnitude")
-        return cls(_ROOTS[0], m * m, _PHASE_ONE)
+        if m == 0:
+            raise DomainError("factor magnitude must be positive")
+        return cls._make(_ROOTS[0], m * m, _PHASE_ONE)
 
     @staticmethod
     def from_phase(phase: RootOfUnity) -> "ExactFactor":

@@ -32,7 +32,7 @@ FAIL = "Fail"
 # the places at the primes up to 191, ascending, proven by the sieve: the 15
 # up to 47 screen the gamma product for poles, the 28 in (47, 191] are the
 # spot-check pool
-_SMALL_PLACES = places_for(_proven=tuple(p for p in _TRIAL_PRIMES if p <= 191))[1:]
+_SMALL_PLACES = tuple(Place._proven(p) for p in _TRIAL_PRIMES if p <= 191)
 _SCREEN_PLACES, _SPOT_CHECK_PLACES = _SMALL_PLACES[:15], _SMALL_PLACES[15:]
 
 # a million trials of kernel-product at height 1e9, 0.7 ms each, take 12 minutes

@@ -1,0 +1,193 @@
+"""Mutation suite: each row breaks the library on purpose, and named tests must notice.
+
+Run it from anywhere with ``python tests/mutants.py`` (standard library and
+pytest only).  For each row it copies ``src/`` to a temporary directory,
+replaces the row's old text, which must occur exactly once in the row's file,
+by its new text, and runs only the row's test files against that copy with
+``python -m pytest -x -q``.  A test failure kills the mutant; a passing run
+lets it survive.  Rows run one after another.
+
+The last row, the control, changes nothing, and runs every test file the
+other rows name: it must survive, which shows that each kill comes from its
+mutant.  The exit status is 1 when a mutant survives or the control is
+killed, and 2 when a row cannot be applied or pytest does not run its tests.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, file under src/adelic, old text, new text, test files that must fail)
+MUTANTS = (
+    (
+        "from_magnitude keeps the magnitude unsquared",
+        "symbols.py",
+        "cls._make(_ROOTS[0], m * m, _PHASE_ONE)",
+        "cls._make(_ROOTS[0], m, _PHASE_ONE)",
+        ("tests/test_value_classes.py",),
+    ),
+    (
+        "from_magnitude takes a zero magnitude",
+        "symbols.py",
+        "        if m == 0:\n",
+        "        if False:\n",
+        ("tests/test_value_classes.py",),
+    ),
+    (
+        "the archimedean character is conjugated",
+        "local.py",
+        "RootOfUnity._make(-x % 1)",
+        "RootOfUnity._make(x % 1)",
+        ("tests/test_local.py",),
+    ),
+    (
+        "the kernel memo holds 1/(2T) for 1/(4T)",
+        "gauss.py",
+        "-8 * T, 1 / (4 * T))",
+        "-8 * T, 1 / (2 * T))",
+        ("tests/test_gauss.py",),
+    ),
+    (
+        "kernel_places drops the proven prime 2",
+        "gauss.py",
+        "sorted({2, *extra, *support(T)})",
+        "sorted({*extra, *support(T)})",
+        ("tests/test_gauss.py",),
+    ),
+    (
+        "factorize halves the exponent of a square past the guard",
+        "rational.py",
+        "pending.append((root, 2 * k))",
+        "pending.append((root, k))",
+        ("tests/test_rational.py",),
+    ),
+    (
+        "the cofactor guard takes a non-square through its root",
+        "rational.py",
+        "if root * root == m:",
+        "if True:",
+        ("tests/test_rational.py",),
+    ),
+    (
+        "odd-place Hilbert symbol without (-1)**(alpha beta)",
+        "symbols.py",
+        "_legendre((-1) ** (alpha * beta % 2) * u ** (beta % 2) * w ** (alpha % 2), p)",
+        "_legendre(u ** (beta % 2) * w ** (alpha % 2), p)",
+        ("tests/test_symbols.py",),
+    ),
+    (
+        "odd-place Hilbert symbol with the exponents swapped",
+        "symbols.py",
+        "_legendre((-1) ** (alpha * beta % 2) * u ** (beta % 2) * w ** (alpha % 2), p)",
+        "_legendre((-1) ** (alpha * beta % 2) * u ** (alpha % 2) * w ** (beta % 2), p)",
+        ("tests/test_symbols.py",),
+    ),
+    (
+        # every product of Weil indices is conjugated too, so it stays 1
+        "the Weil index is conjugated at every place",
+        "symbols.py",
+        "    return _ROOTS[u8]\n",
+        "    return _ROOTS[u8]\n\n\n_weil_index = weil_index\n\n\n"
+        "def weil_index(x, place):\n    return _ROOTS[-_weil_index(x, place).k % 8]\n",
+        ("tests/test_symbols.py",),
+    ),
+    (
+        # two sign flips cancel in every Hilbert product
+        "the Hilbert symbol is flipped at 2 and at infinity together",
+        "symbols.py",
+        "    return -1 if exponent % 2 else 1\n",
+        "    return -1 if exponent % 2 else 1\n\n\n_hilbert_symbol = hilbert_symbol\n\n\n"
+        "def hilbert_symbol(x, y, place):\n    sign = _hilbert_symbol(x, y, place)\n"
+        "    return -sign if place.is_infinite or place.prime == 2 else sign\n",
+        ("tests/test_symbols.py",),
+    ),
+    (
+        "is_identity ignores the phase",
+        "symbols.py",
+        "self.root.is_one and self.mag2 == 1 and self.phase.is_one",
+        "self.root.is_one and self.mag2 == 1",
+        ("tests/test_symbols.py",),
+    ),
+    (
+        "the spot check is skipped",
+        "verifier.py",
+        "off_place = self._spot_check_place(places, rendered)",
+        "off_place = None",
+        ("tests/test_verifier.py",),
+    ),
+    (
+        # zeta(2) reads 1.62865 for 1.64493
+        "d_n scaled by 1.01 in _borwein_series",
+        "special.py",
+        "    return weights, dn\n",
+        "    return weights, dn * 1.01\n",
+        ("tests/test_special.py",),
+    ),
+)
+
+CONTROL = (
+    "control: the old text unchanged",
+    "local.py",
+    "RootOfUnity._make(-x % 1)",
+    "RootOfUnity._make(-x % 1)",
+    tuple(sorted({path for row in MUTANTS for path in row[4]})),
+)
+
+
+def _abort(message: str) -> None:
+    print(message, file=sys.stderr)
+    sys.exit(2)
+
+
+def run(name: str, file: str, old: str, new: str, tests: tuple[str, ...]) -> str | None:
+    """Apply one mutant to a copy of src/ and run its tests: the first failed test, or None."""
+    source = (ROOT / "src" / "adelic" / file).read_text(encoding="utf-8")
+    if source.count(old) != 1:
+        _abort(f"{name}: the old text occurs {source.count(old)} times in {file}")
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        (src / "adelic" / file).write_text(source.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        imported = subprocess.run(
+            [sys.executable, "-c", "import adelic; print(adelic.__file__)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        if not Path(imported.strip()).is_relative_to(src):
+            _abort(f"{name}: adelic was imported from {imported.strip()}, not from the copy")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+    if result.returncode not in (0, 1):  # 1: a test failed; anything else: the tests did not run
+        _abort(f"{name}: pytest exited with {result.returncode}\n{result.stdout}{result.stderr}")
+    if result.returncode == 0:
+        return None
+    summary = (line.split()[1] for line in result.stdout.splitlines() if line.startswith(("FAILED ", "ERROR ")))
+    return next(summary, "a test")
+
+
+def main() -> int:
+    failures = 0
+    for row in MUTANTS + (CONTROL,):
+        start = time.perf_counter()
+        failed = run(*row)
+        wrong = (failed is not None) == (row is CONTROL)
+        failures += wrong
+        verdict = "survived" if failed is None else f"killed by {failed}"
+        mark = "WRONG " if wrong else ""
+        print(f"{mark}{time.perf_counter() - start:5.1f} s  {row[0]}: {verdict}", flush=True)
+    print(f"{len(MUTANTS)} mutants and one control; {failures} wrong")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -175,6 +175,15 @@ def test_exact_constructors_take_only_int_or_fraction(bad):
         ExactFactor.from_magnitude(bad)
 
 
+@pytest.mark.parametrize("zero", [0, Fraction(0)], ids=repr)
+def test_a_zero_magnitude_is_refused(zero):
+    # from_magnitude checks its magnitude itself, since it skips __init__
+    with pytest.raises(DomainError, match="factor magnitude must be positive"):
+        ExactFactor(EighthRoot(0), zero, RootOfUnity(0))
+    with pytest.raises(DomainError, match="factor magnitude must be positive"):
+        ExactFactor.from_magnitude(zero)
+
+
 _PLACES = (INFINITY_PLACE,) + tuple(Place(p) for p in (2, 3, 5, 7, 11, 13, 97))
 
 
@@ -337,7 +346,7 @@ def _checked_unit(k: int, phase=0) -> ExactFactor:
 @pytest.mark.parametrize("height", [10, 10**6, 10**12])
 def test_trusted_values_equal_their_checked_twins(height):
     # each value the library builds through _make, against the same value
-    # built through __init__ (the magnitude through local_abs), at every
+    # built through __init__ (the magnitudes through local_abs), at every
     # support place of the arguments plus 2, 3 and infinity
     rng = random.Random(height)
     for _ in range(12):
@@ -366,6 +375,11 @@ def test_trusted_values_equal_their_checked_twins(height):
                     RootOfUnity(additive_character(phase_argument, place).phase),
                 ),
             )
+            magnitude = local_abs(x, place)
+            _assert_twins(
+                ExactFactor.from_magnitude(magnitude),
+                ExactFactor(EighthRoot(0), magnitude * magnitude, RootOfUnity(0)),
+            )
             sign = hilbert_symbol(x, y, place)
             _assert_twins(ExactFactor.from_sign(sign), _checked_unit(0 if sign == 1 else 4))
             k = weil_index(x, place).k
@@ -386,11 +400,12 @@ def test_unit_factors_are_shared():
 
 @pytest.mark.parametrize(
     "family",
-    ["character-product", "lambda-product", "hilbert-product", "gauss-product", "kernel-product"],
+    ["norm-product", "character-product", "lambda-product", "hilbert-product", "gauss-product",
+     "kernel-product"],
 )
 def test_verify_builds_its_factors_unchecked(monkeypatch, family):
-    # no factor of these families goes through ExactFactor.__init__, and
-    # RootOfUnity.__init__ runs at most once: for the archimedean character
+    # no factor of an exact family goes through ExactFactor.__init__ or
+    # RootOfUnity.__init__: the library builds them from checked parts
     registry = default_registry()
     counter = _InitCounter(monkeypatch)
     rng = random.Random(20)
@@ -400,7 +415,7 @@ def test_verify_builds_its_factors_unchecked(monkeypatch, family):
         assert registry.verify(family, args).verdict == EXACT_PASS
         exact_factors, roots_of_unity = map(int.__sub__, counter.snapshot(), before)
         assert exact_factors == 0
-        assert roots_of_unity <= 1
+        assert roots_of_unity == 0
 
 
 @pytest.mark.parametrize(
