@@ -21,35 +21,59 @@ from .local import INFINITY_PLACE, Place, additive_character, denominator_places
 from .rational import DomainError, RationalLike, _as_fraction, support
 from .symbols import ExactFactor, weil_index
 
-def gauss_factor(a: RationalLike, b: RationalLike, place: Place) -> ExactFactor:
-    """Closed form of the local Gauss integral with quadratic coefficient a != 0."""
-    a = _as_fraction(a, "a")
-    b = _as_fraction(b, "b")
-    if a == 0:
-        raise DomainError("quadratic coefficient must be nonzero")
+# (function, arguments, terms) of the last call of _terms: one verification
+# asks for the same closed-form terms at every place.  One tuple, read once,
+# so a thread race cannot pair one call's key with another call's terms.
+_last_terms: tuple = (None, (), ())
+
+
+def _terms(terms_of, args: tuple) -> tuple[Fraction, ...]:
+    # terms_of(*args), remembered for the last function and arguments; the
+    # callers check the arguments on every call, since 0.5 == Fraction(1, 2)
+    global _last_terms
+    last_of, last_args, terms = _last_terms
+    if terms_of is not last_of or args != last_args:
+        terms = terms_of(*args)
+        _last_terms = (terms_of, args, terms)
+    return terms
+
+
+def _closed_form(terms: tuple[Fraction, Fraction, Fraction], place: Place) -> ExactFactor:
+    # weil_index(r) * |m|**(1/2) * character(c), for the terms (r, m, c)
+    r, m, c = terms
     return ExactFactor._make(
-        weil_index(a, place),
-        local_abs(1 / (2 * a), place),
-        additive_character(-b * b / (4 * a), place),
+        weil_index(r, place), local_abs(m, place), additive_character(c, place)
     )
 
 
-def _duration(duration: RationalLike) -> Fraction:
-    # the propagation time T as a Fraction; every kernel formula divides by it
+def _gauss_terms(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    if a == 0:
+        raise DomainError("quadratic coefficient must be nonzero")
+    return a, 1 / (2 * a), -b * b / (4 * a)
+
+
+def gauss_factor(a: RationalLike, b: RationalLike, place: Place) -> ExactFactor:
+    """Closed form of the local Gauss integral with quadratic coefficient a != 0."""
+    args = (_as_fraction(a, "a"), _as_fraction(b, "b"))
+    return _closed_form(_terms(_gauss_terms, args), place)
+
+
+def _kernel_args(
+    x_out: RationalLike, x_in: RationalLike, accel: RationalLike, duration: RationalLike
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    # the four arguments as Fractions, the propagation time T nonzero: every
+    # kernel formula divides by it
     T = _as_fraction(duration, "duration")
     if T == 0:
         raise DomainError("propagation time must be nonzero")
-    return T
+    return _as_fraction(x_out, "x_out"), _as_fraction(x_in, "x_in"), _as_fraction(accel, "accel"), T
 
 
 def kernel_phase_argument(
     x_out: RationalLike, x_in: RationalLike, accel: RationalLike, duration: RationalLike
 ) -> Fraction:
     """Exact rational argument of the character inside the propagator kernel."""
-    T = _duration(duration)
-    lam = _as_fraction(accel, "accel")
-    x2 = _as_fraction(x_out, "x_out")
-    x1 = _as_fraction(x_in, "x_in")
+    x2, x1, lam, T = _kernel_args(x_out, x_in, accel, duration)
     return (
         -(lam**2) * T**3 / 24
         + (lam * (x2 + x1) - 2) * T / 4
@@ -57,31 +81,8 @@ def kernel_phase_argument(
     )
 
 
-# (arguments, (phase argument, -8T, 1/(4T))) of the last arguments that
-# kernel or kernel_places saw: one verification asks for them at every place
-# with the same arguments.  One tuple, read once, so a thread race cannot
-# pair one call's arguments with another call's values.
-_last_phase: tuple[tuple, tuple[Fraction, Fraction, Fraction]] = ((), ())
-
-
-def _kernel_terms(
-    x_out: RationalLike, x_in: RationalLike, accel: RationalLike, duration: RationalLike
-) -> tuple[Fraction, Fraction, Fraction]:
-    # kernel_phase_argument, -8T and 1/(4T), remembered for the last arguments;
-    # the arguments are checked on every call, since 0.5 == Fraction(1, 2)
-    global _last_phase
-    key = (
-        _as_fraction(x_out, "x_out"),
-        _as_fraction(x_in, "x_in"),
-        _as_fraction(accel, "accel"),
-        _as_fraction(duration, "duration"),
-    )
-    last_key, terms = _last_phase
-    if key != last_key:
-        T = _duration(duration)
-        terms = (kernel_phase_argument(*key), -8 * T, 1 / (4 * T))
-        _last_phase = (key, terms)
-    return terms
+def _kernel_terms(x2: Fraction, x1: Fraction, lam: Fraction, T: Fraction) -> tuple[Fraction, ...]:
+    return -8 * T, 1 / (4 * T), kernel_phase_argument(x2, x1, lam, T)
 
 
 def kernel(
@@ -96,12 +97,8 @@ def kernel(
     Exact three-part value: weil_index(-8T) * |4T|**(-1/2) * character of the
     cubic-in-T phase polynomial, all in rational arithmetic.
     """
-    phase, root_argument, abs_argument = _kernel_terms(x_out, x_in, accel, duration)
-    return ExactFactor._make(
-        weil_index(root_argument, place),
-        local_abs(abs_argument, place),
-        additive_character(phase, place),
-    )
+    args = _kernel_args(x_out, x_in, accel, duration)
+    return _closed_form(_terms(_kernel_terms, args), place)
 
 
 def kernel_places(
@@ -117,12 +114,12 @@ def kernel_places(
     2 and the support of T are found among 3 and those denominators' primes;
     the denominator itself is never factored.
     """
-    T = _duration(duration)
-    den = _kernel_terms(x_out, x_in, accel, duration)[0].denominator
-    candidates = denominator_places(x_out, x_in, accel) | {3}
+    args = _kernel_args(x_out, x_in, accel, duration)
+    den = _terms(_kernel_terms, args)[2].denominator
+    candidates = denominator_places(*args[:3]) | {3}
     extra = tuple(p for p in candidates if den % p == 0)
     # 2, 3 and the primes factorize proved for support and denominator_places
-    primes = sorted({2, *extra, *support(T)})
+    primes = sorted({2, *extra, *support(args[3])})
     return (INFINITY_PLACE,) + tuple(map(Place._proven, primes))
 
 

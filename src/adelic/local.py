@@ -15,6 +15,7 @@ from .rational import (
     DomainError,
     RationalLike,
     _as_fraction,
+    _split,
     _valuation,
     factorize,
     require_prime,
@@ -212,15 +213,12 @@ def _frac_part(x: Fraction, p: int) -> Fraction:
     # frac_part for a prime the caller has already checked
     if x == 0:
         return Fraction(0)
-    v = _valuation(x, p)
+    v, a, b = _split(x, p)
     if v >= 0:
         return Fraction(0)
-    q = p ** (-int(v))
-    # unit part resolved mod p**(-v): x = num/(den*q) with den prime to p
-    num = x.numerator
-    den = x.denominator // q
-    residue = num * pow(den, -1, q) % q
-    return Fraction(residue, q)
+    # unit part a/b resolved mod q = p**(-v), as x = a/(b*q)
+    q = p**-v
+    return Fraction(a * pow(b, -1, q) % q, q)
 
 
 def additive_character(x: RationalLike, place: Place) -> RootOfUnity:

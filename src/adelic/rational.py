@@ -80,10 +80,10 @@ _RHO_FULL_BITS = 128
 # Steps between two gcds in Brent's rho.
 _RHO_BATCH = 128
 
-# factorize refuses a cofactor past this many bits before the first
-# Miller-Rabin base.  A product of two large primes ends in DomainError at any
-# size, at the rho cap, but reaching it took 0.21 s at 3,482 bits, 2.05 s at
-# 8,676 and 8.0 s at 14,112 (one CPU of a 2-vCPU Xeon).
+# factorize refuses a cofactor past this many bits that is no perfect power,
+# before Miller-Rabin.  A product of two large primes ends in DomainError at
+# any size, at the rho cap, but reaching it took 0.21 s at 3,482 bits, 2.05 s
+# at 8,676 and 8.0 s at 14,112 (one CPU of a 2-vCPU Xeon).
 _MAX_COFACTOR_BITS = 4096
 
 
@@ -165,8 +165,8 @@ def factorize(n: int) -> dict[int, int]:
     cofactor of at least _PSI_12 that passes Miller-Rabin, since the
     witnesses prove nothing there, and for a split that exceeds its rho step
     cap (_RHO_STEP_LIMIT, scaled down past _RHO_FULL_BITS bits), or for a
-    cofactor past _MAX_COFACTOR_BITS bits that is not a perfect square,
-    before any other test (cost guard); a square is factored through its root.
+    cofactor past _MAX_COFACTOR_BITS bits that is not a perfect power, before
+    Miller-Rabin (cost guard); a perfect power is factored through its root.
     """
     if _as_int(n, "n") == 0:
         raise DomainError("0 has no prime factorization")
@@ -182,27 +182,14 @@ def factorize(n: int) -> dict[int, int]:
         elif g % p:
             continue
         g //= p
-        n //= p
-        e = 1
-        if not n % p:
-            k = _multiplicity(n, p)
-            n //= p**k
-            e += k
-        factors[p] = e
+        factors[p], n = _multiplicity(n, p)
     # (cofactor, multiplicity): no cofactor has a factor below _TRIAL_BOUND
     pending = [(n, 1)] if n > 1 else []
     while pending:
         m, k = pending.pop()
-        if m.bit_length() > _MAX_COFACTOR_BITS:
-            root = math.isqrt(m)
-            if root * root == m:  # one isqrt halves a square past the guard
-                pending.append((root, 2 * k))
-                continue
-            raise DomainError(
-                f"a {m.bit_length()}-bit cofactor exceeds {_MAX_COFACTOR_BITS} bits (cost guard)"
-            )
+        guarded = m.bit_length() > _MAX_COFACTOR_BITS
         # below _TRIAL_BOUND**2, having no factor below the bound makes m prime
-        if m < _TRIAL_BOUND**2 or _strong_probable_prime(m):
+        if not guarded and (m < _TRIAL_BOUND**2 or _strong_probable_prime(m)):
             if m >= _PSI_12:
                 raise DomainError(f"cannot prove {m} prime: above the Miller-Rabin bound {_PSI_12}")
             factors[m] = factors.get(m, 0) + k
@@ -210,6 +197,10 @@ def factorize(n: int) -> dict[int, int]:
         root, j = _perfect_power(m)
         if j > 1:
             pending.append((root, k * j))
+        elif guarded:
+            raise DomainError(
+                f"a {m.bit_length()}-bit cofactor exceeds {_MAX_COFACTOR_BITS} bits (cost guard)"
+            )
         else:
             d = _rho_split(m)
             pending += ((d, k), (m // d, k))
@@ -261,7 +252,8 @@ def _perfect_power(m: int) -> tuple[int, int]:
     """(r, j) with r**j == m for the least prime j that has one, else (m, 1).
 
     m has no prime factor below _TRIAL_BOUND, so a j-th root exceeds the
-    bound and only primes j with _TRIAL_BOUND**j <= m are tried.
+    bound and only primes j with _TRIAL_BOUND**j <= m are tried.  An odd j
+    takes a root only when m passes the residue screen of _screen_primes(j).
     """
     r = math.isqrt(m)
     if r * r == m:
@@ -269,10 +261,30 @@ def _perfect_power(m: int) -> tuple[int, int]:
     for j in _TRIAL_PRIMES[1:]:
         if _TRIAL_BOUND**j > m:
             break
-        r = _integer_root(m, j)
-        if r**j == m:
-            return r, j
+        # m % q is 0 for a q dividing m, which shows nothing
+        if all(pow(m % q, e, q) <= 1 for q, e in _screen_primes(j)):
+            r = _integer_root(m, j)
+            if r**j == m:
+                return r, j
     return m, 1
+
+
+@lru_cache(maxsize=256)
+def _screen_primes(j: int) -> tuple[tuple[int, int], ...]:
+    """(q, (q - 1) // j) for the four least primes q = 1 (mod j), j an odd prime.
+
+    A j-th power prime to q is 1 to the power (q - 1) / j modulo q, and only
+    one unit in j is, so four such q let about one non-power in j**4 through
+    (the sieve of Bach and Sorenson, Algorithmica 9, 1993).  Primality is
+    tested without is_prime, whose calls the tests count.
+    """
+    screen = []
+    q = 1
+    while len(screen) < 4:
+        q += 2 * j
+        if q in _SMALL_PRIMES or (math.gcd(q, _SMALL_PRODUCT) == 1 and _strong_probable_prime(q)):
+            screen.append((q, (q - 1) // j))
+    return tuple(screen)
 
 
 def _integer_root(m: int, j: int) -> int:
@@ -299,19 +311,25 @@ def valuation(x: RationalLike, p: int) -> int | float:
 
 def _valuation(x: Fraction, p: int) -> int | float:
     # valuation for a prime the caller has already checked
-    if x == 0:
-        return INFINITE
-    num = x.numerator
-    if num % p == 0:
-        return _multiplicity(num, p)
-    den = x.denominator
-    if den % p == 0:
-        return -_multiplicity(den, p)
-    return 0
+    return INFINITE if x == 0 else _split(x, p)[0]
 
 
-def _multiplicity(n: int, p: int) -> int:
-    """The largest e with p**e dividing n, for n a nonzero multiple of p.
+def _split(x: Fraction, p: int) -> tuple[int, int, int]:
+    # (v, a, b) with x = p**v * a / b for x != 0 and p dividing neither a nor
+    # b: the factors p come off the one part of the reduced x that has them.
+    # The integer a * b has the square class of the unit a / b
+    a, b = x.numerator, x.denominator
+    if not a % p:
+        v, a = _multiplicity(a, p)
+        return v, a, b
+    if not b % p:
+        v, b = _multiplicity(b, p)
+        return -v, a, b
+    return 0, a, b
+
+
+def _multiplicity(n: int, p: int) -> tuple[int, int]:
+    """(e, n / p**e) for the largest e with p**e dividing n, a nonzero multiple of p.
 
     After each factor p, divides by p**2, p**4, ... while they divide, then
     starts again from p: O(log(e)**2) divisions, where one division per
@@ -331,15 +349,7 @@ def _multiplicity(n: int, p: int) -> int:
             k += k
             m, r = divmod(n, q)
         if n % p:
-            return e
-
-
-def _unit_parts(x: Fraction, p: int, v: int) -> tuple[int, int]:
-    # numerator and denominator of x / p**v, v the valuation of x != 0 at p:
-    # p**|v| divides one part of the reduced x, so the quotient stays reduced
-    if v > 0:
-        return x.numerator // p**v, x.denominator
-    return x.numerator, x.denominator // p**-v
+            return e, n
 
 
 def support(x: RationalLike) -> tuple[int, ...]:
@@ -413,13 +423,12 @@ def digit_expansion(x: RationalLike, p: int, n: int) -> DigitExpansion:
         raise DomainError("0 has no canonical digit expansion")
     if n < 1:
         raise DomainError("digit count must be positive")
-    v = _valuation(x, p)
-    a, b = _unit_parts(x, p, v)
+    v, a, b = _split(x, p)
     modulus = p**n
     residue = a * pow(b, -1, modulus) % modulus
     digits: list[int] = []
     _base_digits(residue, p, n, digits)
-    return DigitExpansion(valuation=int(v), digits=tuple(digits), prime=p)
+    return DigitExpansion(valuation=v, digits=tuple(digits), prime=p)
 
 
 def _base_digits(residue: int, p: int, n: int, out: list[int]) -> None:

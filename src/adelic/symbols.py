@@ -17,7 +17,7 @@ from .rational import (
     RationalLike,
     _as_fraction,
     _as_int,
-    _valuation,
+    _split,
     require_prime,
 )
 
@@ -163,12 +163,6 @@ def _legendre(a: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-def _unit(x: Fraction, p: int, v: int) -> int:
-    # v the valuation of x != 0 at p: the unit x / p**v = a / b times the square
-    # b**2, which is prime to p, so the integer a * b has the unit's square class
-    return x.numerator * x.denominator // p ** abs(v)
-
-
 def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
     """Local Hilbert symbol: +1 iff z**2 = x*u**2 + y*w**2 has a nonzero local solution.
 
@@ -186,10 +180,9 @@ def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
     if place.is_infinite:
         return -1 if (x < 0 and y < 0) else 1
     p = place.prime
-    alpha = int(_valuation(x, p))
-    beta = int(_valuation(y, p))
-    u = _unit(x, p, alpha)
-    w = _unit(y, p, beta)
+    alpha, a, b = _split(x, p)
+    beta, c, d = _split(y, p)
+    u, w = a * b, c * d
     if p != 2:
         # the exponents as parities, so that every power stays an int
         return _legendre((-1) ** (alpha * beta % 2) * u ** (beta % 2) * w ** (alpha % 2), p)
@@ -219,16 +212,16 @@ def weil_index(x: RationalLike, place: Place) -> EighthRoot:
     if place.is_infinite:
         return _ROOTS[7 if x > 0 else 1]
     p = place.prime
-    v = int(_valuation(x, p))
+    v, a, b = _split(x, p)
     if p != 2:
         if v % 2 == 0:
             return _ROOTS[0]
         k = 0 if p % 4 == 1 else 2
-        if _legendre(_unit(x, p, v), p) == -1:
+        if _legendre(a * b, p) == -1:
             k += 4
         return _ROOTS[k]
     # the unit part is 1 + 2 x1 + 4 x2 modulo 8, with x1, x2 its second and third digits
-    u8 = _unit(x, 2, v) % 8
+    u8 = a * b % 8
     if v % 2 == 0:
         return _ROOTS[(1 - (u8 & 2)) % 8]
     return _ROOTS[u8]

@@ -49,31 +49,94 @@ MUTANTS = (
         ("tests/test_local.py",),
     ),
     (
-        "the kernel memo holds 1/(2T) for 1/(4T)",
+        "the kernel terms hold 1/(2T) for 1/(4T)",
         "gauss.py",
-        "-8 * T, 1 / (4 * T))",
-        "-8 * T, 1 / (2 * T))",
+        "1 / (4 * T)",
+        "1 / (2 * T)",
+        ("tests/test_gauss.py",),
+    ),
+    (
+        "_gauss_terms uses the magnitude 1/a for 1/(2a)",
+        "gauss.py",
+        "1 / (2 * a)",
+        "1 / a",
+        ("tests/test_gauss.py",),
+    ),
+    (
+        "the term memo ignores its function",
+        "gauss.py",
+        "if terms_of is not last_of or args != last_args:",
+        "if args != last_args:",
         ("tests/test_gauss.py",),
     ),
     (
         "kernel_places drops the proven prime 2",
         "gauss.py",
-        "sorted({2, *extra, *support(T)})",
-        "sorted({*extra, *support(T)})",
+        "sorted({2, *extra, *support(args[3])})",
+        "sorted({*extra, *support(args[3])})",
         ("tests/test_gauss.py",),
     ),
     (
-        "factorize halves the exponent of a square past the guard",
+        "_split gives a denominator's valuation the wrong sign",
         "rational.py",
-        "pending.append((root, 2 * k))",
+        "return -v, a, b",
+        "return v, a, b",
+        ("tests/test_rational.py",),
+    ),
+    (
+        "_multiplicity returns the undivided cofactor",
+        "rational.py",
+        "return e, n\n",
+        "return e, n * p**e\n",
+        ("tests/test_rational.py",),
+    ),
+    (
+        "_as_fraction lets a float through",
+        "rational.py",
+        "if isinstance(x, Fraction):",
+        "if isinstance(x, (Fraction, float)):",
+        ("tests/test_exact_arguments.py",),
+    ),
+    (
+        "psi_2 = 1373653 is off by two",
+        "rational.py",
+        "    1373653,\n",
+        "    1373655,\n",
+        ("tests/test_rational.py",),
+    ),
+    (
+        "the rho cap is 2**8",
+        "rational.py",
+        "_RHO_STEP_LIMIT = 1 << 20",
+        "_RHO_STEP_LIMIT = 1 << 8",
+        ("tests/test_rational.py",),
+    ),
+    (
+        "factorize takes every perfect power for a square",
+        "rational.py",
+        "pending.append((root, k * j))",
+        "pending.append((root, k * 2))",
+        ("tests/test_rational.py",),
+    ),
+    (
+        "a perfect power's exponent is dropped",
+        "rational.py",
+        "pending.append((root, k * j))",
         "pending.append((root, k))",
         ("tests/test_rational.py",),
     ),
     (
-        "the cofactor guard takes a non-square through its root",
+        "the cofactor guard takes a non-power past it",
         "rational.py",
-        "if root * root == m:",
-        "if True:",
+        "        elif guarded:\n",
+        "        elif False:\n",
+        ("tests/test_rational.py",),
+    ),
+    (
+        "the residue screen rejects every j",
+        "rational.py",
+        "if all(pow(m % q, e, q) <= 1 for q, e in _screen_primes(j)):",
+        "if all(pow(m % q, e, q) < 0 for q, e in _screen_primes(j)):",
         ("tests/test_rational.py",),
     ),
     (

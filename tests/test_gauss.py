@@ -214,7 +214,7 @@ class TestKernel:
             return kernel_phase_argument(*args)
 
         monkeypatch.setattr(gauss, "kernel_phase_argument", counting)
-        monkeypatch.setattr(gauss, "_last_phase", ((), Fraction(0)))
+        monkeypatch.setattr(gauss, "_last_terms", (None, (), ()))
         args = (Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3, 5))
         report = _verify("kernel-product", *args)
         assert report.verdict == "ExactPass"
@@ -239,7 +239,7 @@ class TestKernel:
         monkeypatch.setattr(rational, "factorize", recording_factorize)
         monkeypatch.setattr(local, "factorize", recording_factorize)
         monkeypatch.setattr(rational, "is_prime", counting_is_prime)
-        monkeypatch.setattr(gauss, "_last_phase", ((), Fraction(0)))
+        monkeypatch.setattr(gauss, "_last_terms", (None, (), ()))
         rng = random.Random(29)
         for _ in range(40):
             x2, x1, lam = (_rand_rational(rng, 10**6) for _ in range(3))
@@ -275,7 +275,7 @@ class TestKernel:
             assert factor_table(report) == tuple(expected)
 
         def fresh(args):
-            monkeypatch.setattr(gauss, "_last_phase", ((), Fraction(0)))
+            monkeypatch.setattr(gauss, "_last_terms", (None, (), ()))
             return _verify("kernel-product", *args)
 
         # A, then B, then A again: each report is what a fresh run gives
@@ -300,6 +300,56 @@ class TestKernel:
                 )
                 rhs = gauss_factor(a, b, place) * correction
                 assert lhs == rhs
+
+
+class TestTermMemo:
+    """gauss_factor, kernel and kernel_places share one one-entry memo of their terms."""
+
+    def test_gauss_verification_computes_its_terms_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gauss_terms(*args)
+
+        gauss_terms = gauss._gauss_terms
+        monkeypatch.setattr(gauss, "_gauss_terms", counting)
+        monkeypatch.setattr(gauss, "_last_terms", (None, (), ()))
+        args = (Fraction(3, 20), Fraction(7, 9))
+        report = _verify("gauss-product", *args)
+        assert report.verdict == "ExactPass"
+        assert len(report.factors) > 1
+        assert calls == [args]
+
+    def test_keyed_on_its_function(self, monkeypatch):
+        # a terms function of the same arity, asked with the same arguments,
+        # gets its own terms, and the first function its own again
+        monkeypatch.setattr(gauss, "_last_terms", (None, (), ()))
+        args = (Fraction(3, 4), Fraction(2, 5))
+        expected = (Fraction(3, 4), Fraction(2, 3), Fraction(-4, 75))
+        assert gauss._terms(gauss._gauss_terms, args) == expected
+        assert gauss._terms(lambda a, b: (b, a, a * b), args) == (args[1], args[0], args[0] * args[1])
+        assert gauss._terms(gauss._gauss_terms, args) == expected
+
+    def test_gauss_and_kernel_verifications_interleaved(self, monkeypatch):
+        rng = random.Random(37)
+
+        def fresh(name, args):
+            monkeypatch.setattr(gauss, "_last_terms", (None, (), ()))
+            return _verify(name, *args)
+
+        # A, then B, then A again, one gauss-product and one kernel-product
+        # verification in either order: each report is what a fresh run gives
+        for _ in range(100):
+            height = rng.choice((10, 1000, 10**6))
+            a, b, x2, x1, lam = (_rand_rational(rng, height) for _ in range(5))
+            T = _rand_rational(rng, height, nonzero=True)
+            pair = [("gauss-product", (T, a)), ("kernel-product", (x2, x1, lam, T))]
+            rng.shuffle(pair)
+            runs = (pair[0], pair[1], pair[0])
+            reports = [_verify(name, *args) for name, args in runs]
+            assert all(report.verdict == "ExactPass" for report in reports)
+            assert reports == [fresh(name, args) for name, args in runs]
 
 
 class TestGroundState:

@@ -266,7 +266,8 @@ class TestUnitPartsPastAMillion:
                 place = Place(p)
                 for a in (x, -x):
                     v, u = _unit_by_division(a, p)
-                    assert Fraction(*rational._unit_parts(a, p, v)) == u
+                    split_v, num, den = rational._split(a, p)
+                    assert (split_v, Fraction(num, den)) == (v, u)
                     assert local_abs(a, place) == Fraction(p) ** -v
                     assert digit_expansion(a, p, 6) == digits_by_division(a, p, 6)
                     assert weil_index(a, place).k == _weil_exponent_by_division(a, p), (a, p)

@@ -228,20 +228,20 @@ class TestFactorize:
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize(
-        "factors", [{1009: 500}, {1013: 300, 1019: 200}], ids=["1009^500", "1013^300*1019^200"]
+        "factors",
+        [{1009: 500}, {1013: 300, 1019: 200}, {1009: 501}, {1013: 301, 1019: 301}],
+        ids=["1009^500", "1013^300*1019^200", "1009^501", "(1013*1019)^301"],
     )
-    def test_square_past_the_cofactor_guard(self, factors):
+    def test_perfect_power_past_the_cofactor_guard(self, factors):
         # trial division stops at 1000, so the power reaches the guard whole;
-        # one isqrt takes it below 4,096 bits
+        # its root, a square or an odd power, is taken below 4,096 bits
         n = math.prod(p**e for p, e in factors.items())
         assert n.bit_length() > 4096
         start = time.perf_counter()
         assert factorize(n) == factors
         assert time.perf_counter() - start < 0.5
 
-    @pytest.mark.parametrize(
-        "n", [1009**501, (2**4423 - 1) * (2**9689 - 1)], ids=["1009^501", "mersenne-product"]
-    )
+    @pytest.mark.parametrize("n", [(2**4423 - 1) * (2**9689 - 1)], ids=["mersenne-product"])
     def test_cofactor_guard_refuses_a_non_square(self, n):
         start = time.perf_counter()
         with pytest.raises(DomainError, match="cost guard"):

@@ -419,13 +419,15 @@ def test_verify_builds_its_factors_unchecked(monkeypatch, family):
 
 
 @pytest.mark.parametrize(
-    "family, height, bound", [("kernel-product", 10**6, 100), ("hilbert-product", 10**12, 40)]
+    "family, height, bound",
+    [("kernel-product", 10**6, 100), ("hilbert-product", 10**12, 40), ("gauss-product", 10**6, 60)],
 )
 def test_fractions_built_per_verification(monkeypatch, family, height, bound):
     # the mean number of Fractions one verification builds, counted at
     # Fraction.__new__ (Python 3.12 builds arithmetic results without it, so
     # there the count is lower); 176 and 73 before the exact per-place values
-    # were built once
+    # were built once, and 115 for gauss-product before gauss_factor shared
+    # the kernel's memo of its terms
     registry = default_registry()
     rng = random.Random(21)
     samples = [registry.family(family).sample(rng, height) for _ in range(200)]
