@@ -18,8 +18,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from . import dynamics as dyn
 from . import gauss, special
@@ -38,18 +39,15 @@ def _emit(ns: argparse.Namespace, payload: dict, text: str) -> None:
         print(text)
 
 
-class Kind(NamedTuple):
+class Kind(namedtuple("Kind", "parse payload shows_token options", defaults=(str, False, {}))):
     """How a local-value argument is parsed, put in the JSON payload and labelled in text.
 
     The text label is str() of the parsed value, or with shows_token the
     token as typed.  options are argparse keywords for the argument (the
-    default is shared and never mutated).
+    default is shared and never mutated), a dict.
     """
 
-    parse: Callable[[str], object]
-    payload: Callable[[object], object] = str
-    shows_token: bool = False
-    options: dict = {}
+    __slots__ = ()
 
 
 def _adelic_or_place(token: str | None) -> str | Place:
@@ -118,21 +116,18 @@ def _cmd_local(ns: argparse.Namespace) -> int:
     return 0
 
 
-class Command(NamedTuple):
+class Command(
+    namedtuple("Command", "name help args handler evaluate head", defaults=(_cmd_local, None, ""))
+):
     """One subcommand: its help line, its arguments in order, and what it runs.
 
     A local-value command gives the library function it evaluates and the head
     of its text line (a format of the argument labels; the value follows),
     and each of its arguments is a Kind.  Any other command gives its
-    own handler, and argparse keywords for each argument.
+    own handler, and argparse keywords (a dict) for each argument.
     """
 
-    name: str
-    help: str
-    args: tuple[tuple[str, Kind | dict], ...]
-    handler: Callable[[argparse.Namespace], int] = _cmd_local
-    evaluate: Callable[..., object] | None = None
-    head: str = ""
+    __slots__ = ()
 
 
 def _tolerance(token: str) -> float:
@@ -329,7 +324,7 @@ def commands() -> tuple[Command, ...]:
 
 
 # let tokens like -22/7, -1.5-2i and -1e-05+2i through as positional values
-_VALUE_TOKEN = re.compile(r"^-\d[\d./+ie-]*$")
+_VALUE_TOKEN = r"^-\d[\d./+ie-]*$"
 
 
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
@@ -351,7 +346,8 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         usage=f"%(prog)s [-h]\n{' ' * 14}{choices}\n{' ' * 14}...",
         description="Exact local-field arithmetic and adelic product verification.",
     )
-    parser._negative_number_matcher = _VALUE_TOKEN
+    value_token = re.compile(_VALUE_TOKEN)
+    parser._negative_number_matcher = value_token
     sub = parser.add_subparsers(dest="command", required=True, prog="adelic")
     names = {cmd.name for cmd in table}
     built = {next((token for token in argv if token in names), None)}
@@ -359,7 +355,7 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         p = sub.add_parser(cmd.name, help=cmd.help, add_help=cmd.name in built)
         if cmd.name not in built:
             continue
-        p._negative_number_matcher = _VALUE_TOKEN
+        p._negative_number_matcher = value_token
         p.set_defaults(cmd=cmd)
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         for name, spec in cmd.args:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .local import Place, _Value, places_for
 from .rational import DomainError, RationalLike, _as_fraction, _as_int, _valuation, random_rational
@@ -73,14 +73,16 @@ class MoebiusMap(_Value):
         return f"({self.a}x + {self.b})/({self.c}x + {self.d})"
 
 
-class FixedPoint(NamedTuple):
-    point: PointLike
-    multiplier: Fraction
+class FixedPoint(namedtuple("FixedPoint", "point multiplier")):
+    """A fixed point, a Fraction or AT_INFINITY, and its multiplier, a Fraction."""
+
+    __slots__ = ()
 
 
-class FixedPointSolve(NamedTuple):
-    points: tuple[FixedPoint, ...]
-    irrational_discriminant: Fraction | None
+class FixedPointSolve(namedtuple("FixedPointSolve", "points irrational_discriminant")):
+    """A tuple of FixedPoint, and the Fraction discriminant of an irrational pair, else None."""
+
+    __slots__ = ()
 
 
 def fixed_points(f: MoebiusMap) -> FixedPointSolve:
@@ -114,16 +116,16 @@ def fixed_points(f: MoebiusMap) -> FixedPointSolve:
     return FixedPointSolve(tuple(pts), None)
 
 
-class FixedPointReport(NamedTuple):
-    point: PointLike
-    multiplier: Fraction
-    per_place: tuple[tuple[Place, str], ...]
-    exceptional: tuple[Place, ...]
+class FixedPointReport(namedtuple("FixedPointReport", "point multiplier per_place exceptional")):
+    """A FixedPoint's fields, (Place, label) pairs, and the Places not labelled indifferent."""
+
+    __slots__ = ()
 
 
-class DynamicsReport(NamedTuple):
-    reports: tuple[FixedPointReport, ...]
-    irrational_discriminant: Fraction | None
+class DynamicsReport(namedtuple("DynamicsReport", "reports irrational_discriminant")):
+    """A tuple of FixedPointReport, and the Fraction discriminant of an irrational pair, else None."""
+
+    __slots__ = ()
 
 
 def _classify_at(m: Fraction, place: Place) -> str:
@@ -160,16 +162,15 @@ def classify(f: MoebiusMap) -> DynamicsReport:
     return DynamicsReport(tuple(reports), solve.irrational_discriminant)
 
 
-class OrbitProbe(NamedTuple):
+class OrbitProbe(namedtuple("OrbitProbe", "entries pole_escape")):
     """Distances to a fixed point along an exact orbit.
 
-    At a finite place the entries are valuations of x_k - x*; at the
-    archimedean place, exact absolute distances.  A pole escape ends the
+    At a finite place the entries (a tuple) are valuations of x_k - x*; at
+    the archimedean place, exact absolute distances.  A pole escape ends the
     orbit early and is reported, not raised.
     """
 
-    entries: tuple[object, ...]
-    pole_escape: bool
+    __slots__ = ()
 
 
 # Cost guards of orbit_probe.  On an orbit whose height grows, the valuation of

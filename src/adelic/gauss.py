@@ -14,8 +14,8 @@ numerical route.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .local import INFINITY_PLACE, Place, additive_character, denominator_places, local_abs
 from .rational import DomainError, RationalLike, _as_fraction, support
@@ -123,11 +123,10 @@ def kernel_places(
     return (INFINITY_PLACE,) + tuple(map(Place._proven, primes))
 
 
-class WaveFunctionValue(NamedTuple):
-    """Ground-state value: real profile gated by the p-adic integrality indicator."""
+class WaveFunctionValue(namedtuple("WaveFunctionValue", "real_factor padic_gate")):
+    """Ground-state value: real profile (a float) gated by the p-adic integrality indicator (1 or 0)."""
 
-    real_factor: float
-    padic_gate: int
+    __slots__ = ()
 
     @property
     def value(self) -> float:

@@ -22,7 +22,8 @@ that flag, is left out.
 from __future__ import annotations
 
 import sys
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable
 
 _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _UFLOW = sys.float_info.min  # d1mach(1)
@@ -64,10 +65,10 @@ _WG = (
 )
 
 
-class QuadResult(NamedTuple):
-    value: float
-    abserr: float
-    last: int  # number of subintervals of (0, 1] in the final partition
+class QuadResult(namedtuple("QuadResult", "value abserr last")):
+    """Value and error estimate (floats), and the number of subintervals of (0, 1] at the end."""
+
+    __slots__ = ()
 
 
 def dqk15i(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Union
+from itertools import compress
+from typing import Union
 
 RationalLike = Union[Fraction, int]
 
@@ -90,12 +92,14 @@ _MAX_COFACTOR_BITS = 4096
 @lru_cache(maxsize=8)
 def primes_up_to(n: int) -> tuple[int, ...]:
     """The primes p <= n, ascending, by the sieve of Eratosthenes; the last 8 bounds are cached."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return tuple(i for i in range(2, n + 1) if sieve[i])
+    # entry k stands for the odd number 2k + 1, and compress reads the primes
+    # off with no Python loop over every integer up to n
+    sieve = bytearray([0]) + bytearray([1]) * ((n - 1) // 2)
+    for i in range(3, math.isqrt(n) + 1, 2):
+        if sieve[i // 2]:
+            start = i * i // 2
+            sieve[start::i] = bytes(len(range(start, len(sieve), i)))
+    return (2, *compress(range(1, n + 1, 2), sieve)) if n > 1 else ()
 
 
 # The library's only small-prime table: the others are slices or subsets.
@@ -386,16 +390,14 @@ def parse_rational(token: str) -> Fraction:
     return value
 
 
-class DigitExpansion(NamedTuple):
+class DigitExpansion(namedtuple("DigitExpansion", "valuation digits prime")):
     """Leading digits of the canonical base-p series of a nonzero rational.
 
-    The represented value is p**valuation * sum(digits[k] * p**k); the leading
-    digit is never 0, each digit lies in [0, p).
+    The represented value is p**valuation * sum(digits[k] * p**k), p the
+    prime; digits is a tuple of ints in [0, p), the leading one never 0.
     """
 
-    valuation: int
-    digits: tuple[int, ...]
-    prime: int
+    __slots__ = ()
 
 
 # The digits are read by splitting the residue in halves (_base_digits), so

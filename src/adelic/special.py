@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, mul, neg, sub
-from typing import NamedTuple
 
 from .local import INFINITY_PLACE, Place
 from .rational import _TRIAL_PRIMES, DomainError, primes_up_to
@@ -46,9 +45,9 @@ _LANCZOS_COEF = (
 def complex_gamma(z: complex) -> complex:
     """Classical gamma function on C, Lanczos approximation with reflection.
 
-    Where sin(pi z) or the Lanczos power overflows a double (large |Im z| on
-    the left, real z past about 142.4), a DomainError names the double range;
-    a z that is not finite raises DomainError too.
+    Where sin(pi z) overflows a double (large |Im z| on the left) or the
+    value leaves the double range (real z past about 171.6), a DomainError
+    names the double range; a z that is not finite raises DomainError too.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -63,27 +62,30 @@ def complex_gamma(z: complex) -> complex:
         for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
             acc += c / (w + i)
         t = w + _LANCZOS_G + 0.5
-        return math.sqrt(2 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+        try:
+            value = math.sqrt(2 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+        except OverflowError:
+            value = math.inf
+        if not cmath.isfinite(value):
+            # from real z of about 142.2 the power or its product with sqrt(2 pi)
+            # overflows where gamma does not: two half powers around exp(-t)
+            half = t ** ((w + 0.5) / 2)
+            value = math.sqrt(2 * math.pi) * (half * (half * cmath.exp(-t))) * acc
+        if cmath.isfinite(value):
+            return value
     except OverflowError:
-        raise DomainError(f"complex_gamma at {z} leaves the double range") from None
+        pass
+    raise DomainError(f"complex_gamma at {z} leaves the double range")
 
 
-def _largest_term_count() -> int:
-    """Largest series length n whose partial sums cannot overflow a double.
-
-    The weight magnitudes below sum to sum_k (d_n - d_k) = 2 n U_{n-1}(3),
-    with U the Chebyshev polynomial of the second kind (d_n = T_n(3), and the
-    summands of d_n are the coefficients of T_n(1 + 2x)).  For Re s >= 1/2
-    that sum bounds every partial sum, and it exceeds d_n |1 - 2**(1-s)|;
-    half the largest double leaves room for rounding.
-    """
-    n, u_previous, u = 1, 0, 1  # u = U_{n-1}(3); U_{m+1} = 6 U_m - U_{m-1}
-    while 2 * (n + 1) * (6 * u - u_previous) <= sys.float_info.max / 2:
-        n, u_previous, u = n + 1, u, 6 * u - u_previous
-    return n
-
-
-_MAX_TERMS = _largest_term_count()
+# Largest series length n whose partial sums cannot overflow a double.  The
+# weight magnitudes below sum to sum_k (d_n - d_k) = 2 n U_{n-1}(3), with U
+# the Chebyshev polynomial of the second kind (d_n = T_n(3), and the summands
+# of d_n are the coefficients of T_n(1 + 2x)).  For Re s >= 1/2 that sum
+# bounds every partial sum, and it exceeds d_n |1 - 2**(1-s)|; 399 is the
+# largest n with 2 n U_{n-1}(3) <= half the largest double, which leaves room
+# for rounding.  The tests derive it from the exact coefficients.
+_MAX_TERMS = 399
 
 
 # log(k + 1) for k < _MAX_TERMS, complex like the weights; n terms read the first n
@@ -302,10 +304,10 @@ def _prime_zeta(s: float) -> float:
     return total
 
 
-class MellinComparison(NamedTuple):
-    numeric: float
-    closed: float
-    residual: float
+class MellinComparison(namedtuple("MellinComparison", "numeric closed residual")):
+    """The vacuum Mellin transform two ways, and the absolute residual between them: floats."""
+
+    __slots__ = ()
 
 
 def mellin_vacuum(a: float) -> MellinComparison:

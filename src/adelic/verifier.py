@@ -16,8 +16,9 @@ import math
 import random
 import re
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import gauss, special
 from .local import Place, additive_character, local_abs, places_for
@@ -39,12 +40,12 @@ _SCREEN_PLACES, _SPOT_CHECK_PLACES = _SMALL_PLACES[:15], _SMALL_PLACES[15:]
 _MAX_TRIALS = 10**6
 
 _REAL = r"\d+(?:\.\d+)?(?:e[+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^\s*(?P<re>[+-]?{_REAL})(?:(?P<im>[+-]{_REAL})i)?\s*$")
+_COMPLEX = rf"^\s*(?P<re>[+-]?{_REAL})(?:(?P<im>[+-]{_REAL})i)?\s*$"
 
 
 def parse_complex(token: str) -> complex:
     """Parse 're' or 're+imi' as format_complex writes them (e.g. '2', '-1.5-2i', '1e-05+2i')."""
-    m = _COMPLEX_RE.match(token)
+    m = re.match(_COMPLEX, token)
     if not m:
         raise DomainError(f"{token!r} is not a complex number (use re or re+imi)")
     z = complex(float(m.group("re")), float(m.group("im") or 0))
@@ -58,9 +59,10 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-class NumericEvaluation(NamedTuple):
-    factors: tuple[tuple[str, str], ...]
-    residual: float
+class NumericEvaluation(namedtuple("NumericEvaluation", "factors residual")):
+    """A numeric family's factor table, (label, value) string pairs, and its float residual."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,12 @@ def _to_json(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
-class VerificationReport(NamedTuple):
-    family: str
-    args: tuple[str, ...]
-    factors: tuple[tuple[str, str], ...]
-    verdict: str
-    residual: float | None = None
-    diagnostic: str | None = None
+class VerificationReport(
+    namedtuple("VerificationReport", "family args factors verdict residual diagnostic", defaults=(None, None))
+):
+    """A family's verdict on rendered args, with (place, value) string pairs; residual a float or None."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -105,13 +106,10 @@ class VerificationReport(NamedTuple):
     to_json = _to_json
 
 
-class SuiteReport(NamedTuple):
-    family: str
-    trials: int
-    height_bound: int
-    seed: int
-    verdicts: tuple[tuple[str, int], ...]
-    failures: tuple[dict, ...]
+class SuiteReport(namedtuple("SuiteReport", "family trials height_bound seed verdicts failures")):
+    """A seeded suite: int counts and bounds, (verdict, count) pairs, and a dict per failed trial."""
+
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

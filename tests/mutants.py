@@ -140,6 +140,20 @@ MUTANTS = (
         ("tests/test_rational.py",),
     ),
     (
+        "the odd sieve starts crossing out at i * i, twice too far",
+        "rational.py",
+        "start = i * i // 2",
+        "start = i * i",
+        ("tests/test_rational.py",),
+    ),
+    (
+        "primes_up_to drops 2",
+        "rational.py",
+        "return (2, *compress(range(1, n + 1, 2), sieve))",
+        "return tuple(compress(range(1, n + 1, 2), sieve))",
+        ("tests/test_rational.py",),
+    ),
+    (
         "odd-place Hilbert symbol without (-1)**(alpha beta)",
         "symbols.py",
         "_legendre((-1) ** (alpha * beta % 2) * u ** (beta % 2) * w ** (alpha % 2), p)",
@@ -185,6 +199,20 @@ MUTANTS = (
         "off_place = self._spot_check_place(places, rendered)",
         "off_place = None",
         ("tests/test_verifier.py",),
+    ),
+    (
+        "the numeric verdict compares against 10 * tol",
+        "verifier.py",
+        "verdict = NUMERIC_PASS if evaluation.residual <= tol else FAIL",
+        "verdict = NUMERIC_PASS if evaluation.residual <= 10 * tol else FAIL",
+        ("tests/test_verifier.py",),
+    ),
+    (
+        "the gamma overflow fallback drops exp(-t)",
+        "special.py",
+        "(half * (half * cmath.exp(-t)))",
+        "(half * half)",
+        ("tests/test_special.py",),
     ),
     (
         # zeta(2) reads 1.62865 for 1.64493

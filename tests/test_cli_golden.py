@@ -147,8 +147,9 @@ PARSER = (
 )
 
 
-# finite-place factors past the double range or the phase bound (exit 2), and
-# a vacuum point past the double range, where the value is 0
+# finite-place factors past the double range or the phase bound (exit 2), a
+# vacuum point past the double range, where the value is 0, and the completed
+# zeta at 300, where the Lanczos power alone would leave the double range
 RANGE = (
     "gamma 700 3",
     "gamma -1e10 3",
@@ -159,6 +160,7 @@ RANGE = (
     "zeta 0.5+1e300i 3",
     "beta 0.5+1e300i 1 3",
     "wavefn 1" + "0" * 400,
+    "zeta 300",
 )
 
 

@@ -20,6 +20,7 @@ from adelic.rational import (
     factorize,
     is_prime,
     parse_rational,
+    primes_up_to,
     random_rational,
     support,
     valuation,
@@ -55,6 +56,18 @@ class TestPrimality:
     def test_rejects_beyond_64_bits(self):
         with pytest.raises(DomainError):
             is_prime(2**64 + 13)
+
+
+class TestSieve:
+    def test_matches_trial_division_for_every_bound_up_to_2000(self):
+        oracle = [n for n in range(2, 2001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        for n in range(2001):
+            assert primes_up_to(n) == tuple(p for p in oracle if p <= n), n
+
+    def test_prime_counts(self):
+        below = primes_up_to(10**5)
+        assert (len(below), below[-1]) == (9592, 99991)
+        assert len(primes_up_to(10**6)) == 78498
 
 
 class TestSizeMatchedBases:

@@ -62,9 +62,16 @@ class TestComplexGamma:
         with pytest.raises(PoleError):
             complex_gamma(-3)
 
+    @pytest.mark.parametrize("z", [142.3, 142.5, 150, 160, 171.5, 150 + 20j])
+    def test_past_the_overflow_of_the_lanczos_power(self, z):
+        # from real z of about 142.2 the power t**(z - 1/2), or its product
+        # with sqrt(2 pi), leaves the double range where gamma does not
+        ref = complex(mpmath.gamma(z))
+        assert abs(complex_gamma(z) - ref) < 1e-12 * abs(ref)
+
     @pytest.mark.parametrize("z", [200, 171.7, 0.25 + 500j, 0.25 - 500j])
     def test_overflow_is_a_domain_error(self, z):
-        # the Lanczos power (large Re z) or sin(pi z) (large |Im z|) overflows
+        # gamma itself (large Re z) or sin(pi z) (large |Im z|) overflows
         with pytest.raises(DomainError, match="double range") as info:
             complex_gamma(z)
         assert not isinstance(info.value, PoleError)

@@ -200,6 +200,9 @@ class TestRegistry:
         )
         assert reg.verify("residual-1e-5", (0j,)).verdict == FAIL
         assert reg.verify("residual-1e-5", (0j,), tol=1e-4).verdict == NUMERIC_PASS
+        # the bound itself passes, the double just below it fails
+        assert reg.verify("residual-1e-5", (0j,), tol=1e-5).verdict == NUMERIC_PASS
+        assert reg.verify("residual-1e-5", (0j,), tol=math.nextafter(1e-5, 0)).verdict == FAIL
 
 
 class TestConstantPlaces:
