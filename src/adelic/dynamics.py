@@ -8,7 +8,6 @@ places where the point fails to be indifferent.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -199,6 +198,8 @@ def orbit_probe(
     if f.apply(x_star) != x_star:
         raise DomainError(f"{x_star} is not fixed by {f}")
     x: PointLike = _as_fraction(x0, "x0")
+    # f is a bijection of P^1(Q) fixing x*, so x_k = x* forces x_(k-1) = x* and,
+    # by induction, x0 = x*: refused here, so every distance below is nonzero
     if x == x_star:
         raise DomainError("orbit probe requires a start away from the fixed point")
     entries: list[object] = []
@@ -209,12 +210,7 @@ def orbit_probe(
         if x.numerator.bit_length() + x.denominator.bit_length() > _MAX_ORBIT_BITS:
             raise DomainError(f"orbit point {len(entries) + 1} exceeds {_MAX_ORBIT_BITS} bits (cost guard)")
         delta = x - x_star
-        if place.is_infinite:
-            entries.append(abs(delta))
-        elif delta == 0:
-            entries.append(math.inf)
-        else:
-            entries.append(int(_valuation(delta, place.prime)))
+        entries.append(abs(delta) if place.is_infinite else int(_valuation(delta, place.prime)))
     return OrbitProbe(tuple(entries), False)
 
 

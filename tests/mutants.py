@@ -25,6 +25,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# old and new text of one mutant that two rows apply
+_HILBERT_FLIPPED_AT_2_AND_INFINITY = (
+    "    return -1 if exponent % 2 else 1\n",
+    "    return -1 if exponent % 2 else 1\n\n\n_hilbert_symbol = hilbert_symbol\n\n\n"
+    "def hilbert_symbol(x, y, place):\n    sign = _hilbert_symbol(x, y, place)\n"
+    "    return -sign if place.is_infinite or place.prime == 2 else sign\n",
+)
+
 # (name, file under src/adelic, old text, new text, test files that must fail)
 MUTANTS = (
     (
@@ -180,11 +188,14 @@ MUTANTS = (
         # two sign flips cancel in every Hilbert product
         "the Hilbert symbol is flipped at 2 and at infinity together",
         "symbols.py",
-        "    return -1 if exponent % 2 else 1\n",
-        "    return -1 if exponent % 2 else 1\n\n\n_hilbert_symbol = hilbert_symbol\n\n\n"
-        "def hilbert_symbol(x, y, place):\n    sign = _hilbert_symbol(x, y, place)\n"
-        "    return -sign if place.is_infinite or place.prime == 2 else sign\n",
+        *_HILBERT_FLIPPED_AT_2_AND_INFINITY,
         ("tests/test_symbols.py",),
+    ),
+    (
+        "the Hilbert symbol is flipped at 2 and at infinity together, against Weil's relations",
+        "symbols.py",
+        *_HILBERT_FLIPPED_AT_2_AND_INFINITY,
+        ("tests/test_local_laws.py",),
     ),
     (
         "is_identity ignores the phase",
@@ -192,6 +203,20 @@ MUTANTS = (
         "self.root.is_one and self.mag2 == 1 and self.phase.is_one",
         "self.root.is_one and self.mag2 == 1",
         ("tests/test_symbols.py",),
+    ),
+    (
+        "the suite's FAIL line shows the diagnostic alone",
+        "cli.py",
+        "{_failure(failure)}",
+        "{failure['diagnostic']}",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "the orbit probe starts at the fixed point",
+        "dynamics.py",
+        "    if x == x_star:\n",
+        "    if False:\n",
+        ("tests/test_dynamics.py",),
     ),
     (
         "the spot check is skipped",

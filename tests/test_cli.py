@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -121,6 +122,16 @@ class TestEvaluationCommands:
         code, _, err = run(capsys, "zeta", "1")
         assert code == 2 and "pole" in err.lower()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("gamma", "-2", "inf"), "zeta zero in the denominator at a = (-2+0j)"),
+            (("verify", "gamma-product", "-2"), "zeta zero at u = (-2+0j) makes the gamma factor at infinity singular"),
+        ],
+    )
+    def test_a_zeta_zero_under_the_gamma_factor_is_domain_error(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_zeta_past_series_range_is_domain_error(self, capsys):
         code, out, err = run(capsys, "zeta", "0.5+300i")
         assert code == 2 and out == ""
@@ -144,6 +155,23 @@ class TestEvaluationCommands:
         )
         assert code == 0
         assert json.loads(out)["entries"] == ["3", "5", "7", "9", "11"]
+
+    def test_dynamics_classify_irrational_pair(self, capsys):
+        # x -> -1/x has no rational fixed point: (a + d)**2 - 4 = -4
+        assert run(capsys, "dynamics", "classify", "0", "-1", "1", "0") == (
+            0, "conjugate irrational pair, discriminant -4\n", "",
+        )
+
+    def test_dynamics_orbit_hits_the_pole(self, capsys):
+        # x/(x + 1) sends -1/2 to its pole -1
+        assert run(
+            capsys, "dynamics", "orbit", "1", "0", "1", "1", "--x0", "-1/2", "--fixed-point", "0", "--place", "2",
+        ) == (0, "orbit distances at 2: 0 (orbit hit the pole)\n", "")
+
+    def test_dynamics_orbit_from_the_fixed_point_refused(self, capsys):
+        assert run(capsys, "dynamics", "orbit", "1", "0", "1", "1", "--x0", "0", "--fixed-point", "0") == (
+            2, "", "error: orbit probe requires a start away from the fixed point\n",
+        )
 
 
 class TestVerifyAndSuite:
@@ -199,6 +227,44 @@ class TestVerifyAndSuite:
         payload = json.loads(out)
         assert payload["all_passed"] is True
         assert payload["verdicts"] == {"ExactPass": 25}
+
+    def test_verify_fail_line_shows_the_residual(self, capsys):
+        # a numeric failure has no diagnostic: the text line shows its residual
+        argv = ("verify", "functional-equation", "2.5+0.5i", "--tol", "0")
+        assert run(capsys, *argv) == (1, "FAIL: residual 5.389157964038493e-16\n", "")
+        assert run(capsys, *argv, "--json") == (
+            1,
+            '{"args": ["2.5+0.5i"], "diagnostic": null, "factors": ['
+            '{"place": "a=2.5+0.5i", "value": "0.23936267191-0.122556661739i"}, '
+            '{"place": "1-a=-1.5-0.5i", "value": "0.23936267191-0.122556661739i"}], '
+            '"family": "functional-equation", "residual": 5.389157964038493e-16, "verdict": "Fail"}\n',
+            "",
+        )
+
+    def test_suite_fail_lines_show_the_residual(self, capsys):
+        # the same rule as verify's FAIL line
+        argv = ("suite", "functional-equation", "--trials", "3", "--tol", "0")
+        assert run(capsys, *argv) == (
+            1,
+            "functional-equation: 3 trials, Fail: 3\n"
+            "  FAIL #0 args ['1.11541438766-2.84993546866i']: residual 2.934914253648974e-16\n"
+            "  FAIL #1 args ['-1.79976545305-1.66073557111i']: residual 4.4278625581494807e-16\n"
+            "  FAIL #2 args ['1.89176971331+1.06019692454i']: residual 1.6653345369377348e-16\n",
+            "",
+        )
+        assert run(capsys, *argv, "--json") == (
+            1,
+            '{"all_passed": false, "failures": ['
+            '{"args": ["1.11541438766-2.84993546866i"], "diagnostic": null, "index": 0, '
+            '"residual": 2.934914253648974e-16, "seed": 42}, '
+            '{"args": ["-1.79976545305-1.66073557111i"], "diagnostic": null, "index": 1, '
+            '"residual": 4.4278625581494807e-16, "seed": 42}, '
+            '{"args": ["1.89176971331+1.06019692454i"], "diagnostic": null, "index": 2, '
+            '"residual": 1.6653345369377348e-16, "seed": 42}], '
+            '"family": "functional-equation", "height_bound": 1000, "seed": 42, "trials": 3, '
+            '"verdicts": {"Fail": 3}}\n',
+            "",
+        )
 
     def test_suite_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "suite", "hilbert-product", "--trials", "10", "--seed", "5", "--json")
@@ -296,6 +362,14 @@ class TestParser:
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["adelic", "norm", "7/8", "2"])
         assert main() == 0
+        assert capsys.readouterr().out == "|7/8|_2 = 8\n"
+
+    @pytest.mark.filterwarnings("ignore:'adelic.cli' found in sys.modules:RuntimeWarning")
+    def test_run_as_main_exits_with_the_status_of_main(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["adelic", "norm", "7/8", "2"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("adelic.cli", run_name="__main__")
+        assert info.value.code == 0
         assert capsys.readouterr().out == "|7/8|_2 = 8\n"
 
 

@@ -60,6 +60,9 @@ class TestMoebiusMap:
         assert WORKED.apply(Fraction(-1, 2)) is AT_INFINITY
         assert WORKED.apply(AT_INFINITY) == 2
 
+    def test_infinity_is_fixed_when_c_is_zero(self):
+        assert MoebiusMap(1, 1, 0, 1).apply(AT_INFINITY) is AT_INFINITY
+
     def test_compose_inverse(self):
         rng = random.Random(1)
         for _ in range(30):
@@ -280,6 +283,12 @@ class TestOrbitProbe:
     def test_requires_genuine_fixed_point(self):
         with pytest.raises(DomainError):
             orbit_probe(WORKED, 2, P2, 3, 1)
+
+    @pytest.mark.parametrize("place", [P2, INFINITY_PLACE], ids=str)
+    def test_start_at_the_fixed_point_refused(self, place):
+        # f is a bijection fixing x*, so no other start ever reaches x*
+        with pytest.raises(DomainError, match="start away from the fixed point"):
+            orbit_probe(PARABOLIC, 0, place, 3, 0)
 
     @pytest.mark.parametrize("steps", [-2, 10_001, 10**5])
     def test_step_count_outside_the_cap_rejected(self, steps):

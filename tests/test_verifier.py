@@ -103,6 +103,17 @@ class TestRegistry:
         with pytest.raises(DomainError):
             registry.register(fam)
 
+    @pytest.mark.parametrize(
+        "exact, message",
+        [(True, "exact family needs factor and relevant_places"), (False, "numeric family needs an evaluator")],
+    )
+    def test_a_family_without_its_evaluation_is_refused(self, exact, message):
+        bare = ProductFamily(
+            name="bare", usage="bare x", exact=exact, parse=tuple, render=tuple, sample=lambda rng, h: ()
+        )
+        with pytest.raises(DomainError, match=message):
+            Registry().register(bare)
+
     def test_unknown_family(self, registry):
         with pytest.raises(DomainError):
             registry.verify("no-such-family", (Fraction(1),))
@@ -242,6 +253,13 @@ class TestConstantPlaces:
             113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191,
         ]
         assert [v.prime for v in screen] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+    def test_a_support_holding_every_spot_check_prime_leaves_no_spot_check(self, registry):
+        x = Fraction(math.prod(v.prime for v in verifier._SPOT_CHECK_PLACES))
+        report = registry.verify("norm-product", (x,))
+        assert report.verdict == EXACT_PASS
+        assert len(report.factors) == 29
+        assert Registry._spot_check_place(places_for(x), report.args) is None
 
 
 class TestReports:
