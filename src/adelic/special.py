@@ -264,25 +264,6 @@ def zeta_adelic(a: complex) -> complex:
 _MELLIN_PRIME_BOUND = 100_000
 
 
-def real_vacuum_moment(a: float) -> float:
-    """Quadrature of the moment integral of exp(-pi x**2) |x|**(a-1) over the line.
-
-    Where the power x**(a-1) overflows a double at a quadrature node (from
-    about a = 95.2 on), a DomainError names the double range.
-    """
-    if not math.isfinite(a):
-        raise DomainError(f"moment integral requires a finite a, got {a}")
-    if a <= 0:
-        raise DomainError("moment integral requires a > 0")
-    from .quadrature import quad_semi_infinite  # deferred: only the Mellin path integrates
-
-    try:
-        val = quad_semi_infinite(lambda x: math.exp(-math.pi * x * x) * x ** (a - 1.0)).value
-    except OverflowError:
-        raise DomainError(f"the moment integrand at a = {a} leaves the double range") from None
-    return 2.0 * val
-
-
 # mu(n) for n <= 61, from the sieve: _prime_zeta's s exceeds 1, so it takes
 # at most int(60 / s) + 2 <= 61 terms
 _MOEBIUS = [1] * 62
@@ -317,14 +298,21 @@ def mellin_vacuum(a: float) -> MellinComparison:
     factors over primes up to 100,000; the Euler tail beyond the bound is
     restored through the Moebius expansion of the prime-counting series so the
     truncation error stays below the comparison tolerance even near a = 1.
-    closed is sqrt(2) * gamma(a/2) * pi**(-a/2) * zeta(a).
+    closed is sqrt(2) * gamma(a/2) * pi**(-a/2) * zeta(a).  From about a = 95.2,
+    where x**(a-1) overflows at a quadrature node, a DomainError names the double range.
     """
     a = float(a)
     if not math.isfinite(a):
         raise DomainError(f"the vacuum Mellin transform requires a finite a, got {a}")
     if a <= 1:
         raise DomainError("the vacuum Mellin transform requires a > 1")
-    moment = real_vacuum_moment(a)
+    from .quadrature import quad_semi_infinite  # deferred: only the Mellin path integrates
+
+    # the moment integral of exp(-pi x**2) |x|**(a-1) over the line
+    try:
+        moment = 2.0 * quad_semi_infinite(lambda x: math.exp(-math.pi * x * x) * x ** (a - 1.0)).value
+    except OverflowError:
+        raise DomainError(f"the moment integrand at a = {a} leaves the double range") from None
     primes = primes_up_to(_MELLIN_PRIME_BOUND)
     # int ** float rounds as float(p) ** float; reduce subtracts left to right
     powers = list(map(pow, primes, repeat(-a)))

@@ -129,6 +129,12 @@ class SuiteReport(namedtuple("SuiteReport", "family trials height_bound seed ver
     to_json = _to_json
 
 
+def _check_tolerance(tol: float) -> None:
+    # an int or a float, neither NaN nor negative, for every family; inf passes
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0:
+        raise DomainError(f"tolerance must be a nonnegative int or float, got {tol!r}")
+
+
 class Registry:
     """Holds product families; names are unique handles."""
 
@@ -156,6 +162,7 @@ class Registry:
 
     def verify(self, name: str, args: tuple, tol: float = 1e-8) -> VerificationReport:
         fam = self.family(name)
+        _check_tolerance(tol)
         rendered = fam.render(args)
         if fam.exact:
             return self._verify_exact(fam, args, rendered)
@@ -229,6 +236,7 @@ class Registry:
             raise DomainError(f"height bound must be at least 1, got {height_bound}")
         if height_bound > _PRIME_LIMIT:  # a drawn prime past it has no place
             raise DomainError(f"height bound must be at most 2**64, where primality tests end; got {height_bound}")
+        _check_tolerance(tol)
         rng = random.Random(seed)
         counts: dict[str, int] = {}
         failures: list[dict] = []
@@ -358,8 +366,8 @@ def _gamma_product(u: complex) -> tuple[complex, complex | None]:
         raise DomainError("the gamma product excludes u = 0 and u = 1")
     z_u = special.riemann_zeta(u)
     z_cu = special.riemann_zeta(1 - u)
-    # a pole screen at the primes up to 47, whose values nothing reads; deleting it is
-    # ROADMAP item 9's change (numeric ops_per_s +11-13%, peak_rss_mb +4.0-8.8%), and
+    # a pole screen at the primes up to 47, whose values nothing reads; deleting it waits on
+    # ROADMAP item 9 (three 20 s numeric pairs: ops_per_s +14-16%, peak_rss_mb +5.2-14.9%), and
     # the strict xfail TestRawPartialProduct::test_a_pole_within_the_raw_bound_passes records it
     for place in _SCREEN_PLACES:
         special.gamma_local(u, place)

@@ -34,10 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "adelic"
 
 # (file under src/adelic, stripped text of a line, why it may stay unrun)
-_EPSILON_TABLE = "QUADPACK's epsilon-table exit in dqelg, kept bit-identical with scipy's qagse"
 ALLOWED = (
-    ("quadrature.py", "n = i + i - 1", _EPSILON_TABLE),
-    ("quadrature.py", "break", _EPSILON_TABLE),
     ("quadrature.py", "summed = abserr > errsum", "QUADPACK's choice of the extrapolated result in qagse"),
 )
 

@@ -64,6 +64,27 @@ MUTANTS = (
         ("tests/test_gauss.py",),
     ),
     (
+        "the kernel phase's cubic term is -lam**2 T**3 / 12",
+        "gauss.py",
+        "-(lam**2) * T**3 / 24",
+        "-(lam**2) * T**3 / 12",
+        ("tests/test_local_laws.py",),
+    ),
+    (
+        "the kernel phase's linear term divides by 2, not 4",
+        "gauss.py",
+        "(lam * (x2 + x1) - 2) * T / 4",
+        "(lam * (x2 + x1) - 2) * T / 2",
+        ("tests/test_local_laws.py",),
+    ),
+    (
+        "the kernel's Weil index argument is 8T for -8T",
+        "gauss.py",
+        "return -8 * T,",
+        "return 8 * T,",
+        ("tests/test_local_laws.py",),
+    ),
+    (
         "_gauss_terms uses the magnitude 1/a for 1/(2a)",
         "gauss.py",
         "1 / (2 * a)",

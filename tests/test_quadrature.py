@@ -14,7 +14,7 @@ integrate = pytest.importorskip("scipy.integrate")
 
 
 def mellin_integrand(a):
-    # the integrand of special.real_vacuum_moment
+    # the moment integrand of special.mellin_vacuum
     return lambda x: math.exp(-math.pi * x * x) * x ** (a - 1.0)
 
 
@@ -47,6 +47,19 @@ def test_mellin_moments_match_scipy():
     assert len(exponents) == 4032
     for a in exponents:
         assert_matches_scipy(mellin_integrand(a))
+
+
+# Mellin exponents whose integrands take QUADPACK paths that no exponent of
+# _mellin_exponents takes; the hard integrands below take them too.  1.449
+# also takes dqelg's exit where neighbouring table entries agree
+# (err1 <= tol1 ...), which no other integrand of the tests takes.
+@pytest.mark.parametrize(
+    "a",
+    [1.449, 40.3, 30.97, 92.92],
+    ids=["dqelg-table-exit-and-shift", "dqpsrt-reorder", "nrmax-step", "erlarg-update"],
+)
+def test_mellin_moments_on_rare_paths_match_scipy(a):
+    assert_matches_scipy(mellin_integrand(a))
 
 
 def test_fourier_integrals_match_scipy():

@@ -216,6 +216,64 @@ class TestRegistry:
         assert reg.verify("residual-1e-5", (0j,), tol=math.nextafter(1e-5, 0)).verdict == FAIL
 
 
+# a bool, a value that is neither an int nor a float, NaN, and negative values
+BAD_TOLERANCES = [math.nan, -1.0, -1, -math.inf, "1e-8", None, True, False, Fraction(1, 10**8), 1e-8 + 0j]
+
+
+def _recording_registry(calls: list) -> Registry:
+    """One exact and one numeric family that record every call of their callables."""
+
+    def record(name, value):
+        def call(*args):
+            calls.append(name)
+            return value
+        return call
+
+    reg = Registry()
+    for exact in (True, False):
+        reg.register(
+            ProductFamily(
+                name=f"recorded-{'exact' if exact else 'numeric'}", usage="recorded x", exact=exact,
+                parse=record("parse", ()), render=record("render", ("0",)), sample=record("sample", (0,)),
+                factor=record("factor", ExactFactor.identity()), relevant_places=record("places", ()),
+                evaluate=record("evaluate", NumericEvaluation((), 0.0)),
+            )
+        )
+    return reg
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
+    def test_verify_refuses_a_bad_tolerance_before_any_work(self, registry, tol):
+        calls = []
+        reg = _recording_registry(calls)
+        for name in reg.names():
+            with pytest.raises(DomainError, match="^tolerance must be a nonnegative int or float, got "):
+                reg.verify(name, (0,), tol=tol)
+        assert calls == []
+        rng = random.Random(3)
+        for name in registry.names():
+            args = registry.family(name).sample(rng, 10)
+            with pytest.raises(DomainError, match="^tolerance must be a nonnegative int or float"):
+                registry.verify(name, args, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
+    def test_suite_refuses_a_bad_tolerance_before_any_trial(self, registry, tol):
+        calls = []
+        reg = _recording_registry(calls)
+        for families in (reg, registry):
+            for name in families.names():
+                for trials in (0, 10):
+                    with pytest.raises(DomainError, match="^tolerance must be a nonnegative int or float"):
+                        families.random_suite(name, trials, 10, 1, tol=tol)
+        assert calls == []
+
+    def test_infinity_and_zero_are_tolerances(self, registry):
+        assert registry.verify("gamma-product", (2.5 + 0.5j,), tol=math.inf).verdict == NUMERIC_PASS
+        assert registry.verify("norm-product", (Fraction(12),), tol=0).verdict == EXACT_PASS
+        assert dict(registry.random_suite("gamma-product", 5, 10, 1, tol=math.inf).verdicts) == {NUMERIC_PASS: 5}
+
+
 class TestConstantPlaces:
     """The fixed prime tables are Places built once, not checked on every call."""
 
