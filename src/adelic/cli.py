@@ -27,16 +27,11 @@ from . import gauss, special
 from .local import Place, RootOfUnity, additive_character, frac_part, local_abs, parse_place
 from .rational import DomainError, digit_expansion, parse_rational
 from .symbols import EighthRoot, ExactFactor, hilbert_symbol, legendre_symbol, weil_index
-from .verifier import EXACT_PASS, NUMERIC_PASS, REGISTRY, format_complex, parse_complex
+from .verifier import EXACT_PASS, NUMERIC_PASS, REGISTRY, _check_tolerance, _dumps, format_complex, parse_complex
 
 
 def _emit(ns: argparse.Namespace, payload: dict, text: str) -> None:
-    if ns.json:
-        import json  # deferred: only --json output serializes
-
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+    print(_dumps(payload) if ns.json else text)
 
 
 class Kind(namedtuple("Kind", "parse payload shows_token options", defaults=(str, False, {}))):
@@ -130,17 +125,6 @@ class Command(
     __slots__ = ()
 
 
-def _tolerance(token: str) -> float:
-    """A --tol value: a float that is neither NaN nor negative."""
-    try:
-        tol = float(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {token!r}") from None
-    if not tol >= 0:
-        raise argparse.ArgumentTypeError(f"tolerance must be a nonnegative number, got {token!r}")
-    return tol
-
-
 def _cmd_digits(ns: argparse.Namespace) -> int:
     x = parse_rational(ns.x)
     p = _finite_prime(ns.prime, "digit expansions are defined at finite places only")
@@ -160,6 +144,7 @@ def _cmd_legendre(ns: argparse.Namespace) -> int:
 
 
 def _cmd_mellin(ns: argparse.Namespace) -> int:
+    _check_tolerance(ns.tol)
     comparison = special.mellin_vacuum(ns.a)
     payload = {
         "op": "mellin",
@@ -202,7 +187,7 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
             )
         if discriminant is not None:
             lines.append(f"conjugate irrational pair, discriminant {discriminant}")
-        _emit(ns, payload, "\n".join(lines) or "no fixed point data")
+        _emit(ns, payload, "\n".join(lines))
         return 0
     # orbit
     place = parse_place(ns.place)
@@ -274,7 +259,7 @@ def commands() -> tuple[Command, ...]:
     Built anew for each parser, so that it holds the library functions bound
     at that time, a wrapper installed after import included.
     """
-    tol = ("--tol", {"type": _tolerance, "default": 1e-8})
+    tol = ("--tol", {"type": float, "default": 1e-8})
     x, place = ("x", RATIONAL), ("place", PLACE)
     return (
         Command("norm", "local absolute value |x|_v", (x, place), evaluate=local_abs, head="|{x}|_{place}"),

@@ -222,8 +222,11 @@ def random_map_with_rational_fixed_points(rng: random.Random, height: int) -> Mo
 
     Conjugates a diagonal (or unipotent, with probability _PARABOLIC_SHARE) model by
     a random invertible rational matrix; multipliers come out as exact squares
-    lam**2 and lam**(-2), so the fixed points stay rational.
+    lam**2 and lam**(-2), so the fixed points stay rational.  A height bound
+    below 2 raises DomainError: at height 1 every lam would be +-1.
     """
+    if _as_int(height, "height bound") < 2:
+        raise DomainError(f"height bound must be at least 2 for a random map, got {height}")
     while True:
         g_a, g_b, g_c, g_d = (random_rational(rng, height) for _ in range(4))
         det = g_a * g_d - g_b * g_c

@@ -253,8 +253,7 @@ def zeta_adelic(a: complex) -> complex:
         and a.real < 0
         and abs(a.real / 2 - round(a.real / 2)) < _POLE_TOL
     ):
-        reflected = 1 - a
-        return zeta_local(reflected, INFINITY_PLACE) * riemann_zeta(reflected)
+        return zeta_adelic(1 - a)
     # zeta first: past its |Im a| range it raises DomainError, where the gamma
     # factor can overflow
     value = riemann_zeta(a)

@@ -80,10 +80,14 @@ class ProductFamily:
     evaluate: Callable[[tuple], NumericEvaluation] | None = None
 
 
-def _to_json(report) -> str:
+def _dumps(payload: dict) -> str:
     import json  # deferred: only --json output serializes
 
-    return json.dumps(report.to_dict(), sort_keys=True)
+    return json.dumps(payload, sort_keys=True)
+
+
+def _to_json(report) -> str:
+    return _dumps(report.to_dict())
 
 
 class VerificationReport(

@@ -226,10 +226,59 @@ MUTANTS = (
         ("tests/test_symbols.py",),
     ),
     (
+        "is_identity ignores the magnitude",
+        "symbols.py",
+        "self.root.is_one and self.mag2 == 1 and self.phase.is_one",
+        "self.root.is_one and self.phase.is_one",
+        ("tests/test_verifier.py",),
+    ),
+    (
+        "is_identity ignores the eighth root",
+        "symbols.py",
+        "self.root.is_one and self.mag2 == 1 and self.phase.is_one",
+        "self.mag2 == 1 and self.phase.is_one",
+        ("tests/test_verifier.py",),
+    ),
+    (
+        "local_abs takes the valuation off by one",
+        "local.py",
+        "Fraction(1, p**v)",
+        "Fraction(1, p ** (v + 1))",
+        ("tests/test_local.py",),
+    ),
+    (
+        "_frac_part reduces modulo p times too much",
+        "local.py",
+        "q = p**-v",
+        "q = p ** (1 - v)",
+        ("tests/test_local.py",),
+    ),
+    (
+        "the dyadic Weil index of an even valuation is conjugated",
+        "symbols.py",
+        "(1 - (u8 & 2)) % 8",
+        "(1 + (u8 & 2)) % 8",
+        ("tests/test_local_laws.py",),
+    ),
+    (
+        "the dyadic Hilbert symbol drops alpha * omega(w)",
+        "symbols.py",
+        " + alpha * omega_w",
+        "",
+        ("tests/test_local_laws.py",),
+    ),
+    (
         "the suite's FAIL line shows the diagnostic alone",
         "cli.py",
         "{_failure(failure)}",
         "{failure['diagnostic']}",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "mellin skips the tolerance rule",
+        "cli.py",
+        "    _check_tolerance(ns.tol)\n",
+        "",
         ("tests/test_cli.py",),
     ),
     (

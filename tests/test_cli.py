@@ -457,6 +457,19 @@ class TestInputGuards:
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("argv", [
+        ("verify", "functional-equation", "2", "--tol", "nan"),
+        ("verify", "norm-product", "12", "--tol", "-1"),
+        ("suite", "gamma-product", "--tol", "nan"),
+        ("mellin", "2", "--tol", "-1"),
+    ])
+    def test_tolerance_refused_by_the_registry_rule(self, capsys, argv):
+        # argparse reads --tol as a float; one rule, verifier._check_tolerance,
+        # refuses NaN and negative values for verify, suite and mellin alike
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: tolerance must be a nonnegative int or float, got {float(argv[-1])!r}\n"
+
+    @pytest.mark.parametrize("argv", [
         (*ORBIT, "--steps", "100000"),  # cubic in the steps: 23.8 s at 4000
         ("digits", "1/3", "2", "100000"),  # quadratic in the digits
         ("suite", "norm-product", "--trials", str(2**61 - 1)),  # ran for ages

@@ -129,6 +129,29 @@ class TestFixedPoints:
                 assert pts[0].multiplier * pts[1].multiplier == 1
 
 
+class TestRandomMap:
+    def test_height_one_refused_before_any_draw(self):
+        # at height 1 every nonzero draw is +-1, and the multiplier loop would
+        # redraw forever; random.Random(0) hung there before the refusal
+        for seed in range(20):
+            rng = random.Random(seed)
+            state = rng.getstate()
+            with pytest.raises(DomainError, match="^height bound must be at least 2 for a random map, got 1$"):
+                random_map_with_rational_fixed_points(rng, 1)
+            assert rng.getstate() == state
+
+    @pytest.mark.parametrize("height", [0, -5, True, 2.5])
+    def test_bad_height_refused(self, height):
+        with pytest.raises(DomainError, match="^height bound must be "):
+            random_map_with_rational_fixed_points(random.Random(0), height)
+
+    def test_height_two_gives_rational_fixed_points(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            report = classify(random_map_with_rational_fixed_points(rng, 2))
+            assert report.reports and report.irrational_discriminant is None
+
+
 def _affine_map(rng, height):
     # a determinant-one map with c = 0 and a != d: fixes infinity and one finite point
     b = random_rational(rng, height)

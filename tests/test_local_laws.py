@@ -23,7 +23,10 @@ integral of A and B times the character of C.  The law is checked as an exact
 ExactFactor equality built from library values alone; it ties the kernel's
 phase polynomial and its Weil index argument to the Gauss closed form.  It
 cannot see the constant -2 T / 4 of the phase, which each side carries once,
-so tests/test_gauss.py pins that term.
+so tests/test_gauss.py pins that term.  At p = 3, 5 and 7 the Gauss integral
+of A and B is also checked against tests/oracles.py's coset sum, which shares
+no code with the closed form, so the law does not rest on the closed form
+alone.
 """
 
 import random
@@ -33,8 +36,10 @@ import pytest
 
 from adelic.gauss import gauss_factor, kernel, kernel_phase_argument
 from adelic.local import INFINITY_PLACE, Place, additive_character
-from adelic.rational import random_rational
+from adelic.rational import DomainError, random_rational
 from adelic.symbols import EighthRoot, ExactFactor, hilbert_symbol, weil_index
+
+from oracles import padic_gauss_oracle, valuation_by_division
 
 PLACES = (INFINITY_PLACE, *(Place(p) for p in (2, 3, 5, 7, 11, 13)))
 
@@ -75,6 +80,16 @@ def _kernel_arguments() -> list:
     return sets
 
 
+def _phase_coefficients(x3, x1, lam, t1, t2) -> tuple:
+    """(A, B, C) of the integrand's phase argument A x2**2 + B x2 + C."""
+
+    def phase(x2):
+        return kernel_phase_argument(x3, x2, lam, t2) + kernel_phase_argument(x2, x1, lam, t1)
+
+    c = phase(0)
+    return (phase(1) + phase(-1)) / 2 - c, (phase(1) - phase(-1)) / 2, c
+
+
 def _without_phase(factor: ExactFactor) -> ExactFactor:
     return ExactFactor(factor.root, factor.mag2, ExactFactor.identity().phase)
 
@@ -84,13 +99,7 @@ def test_kernel_composition(index):
     # each argument set is checked at one place, the places taken in turn
     place = PLACES[index]
     for x3, x1, lam, t1, t2 in _kernel_arguments()[index :: len(PLACES)]:
-
-        def phase(x2):
-            return kernel_phase_argument(x3, x2, lam, t2) + kernel_phase_argument(x2, x1, lam, t1)
-
-        c = phase(0)
-        a = (phase(1) + phase(-1)) / 2 - c
-        b = (phase(1) - phase(-1)) / 2
+        a, b, c = _phase_coefficients(x3, x1, lam, t1, t2)
         lhs = (
             _without_phase(kernel(x3, 0, lam, t2, place))
             * _without_phase(kernel(0, x1, lam, t1, place))
@@ -98,3 +107,21 @@ def test_kernel_composition(index):
             * ExactFactor.from_phase(additive_character(c, place))
         )
         assert lhs == kernel(x3, x1, lam, t1 + t2, place), (x3, x1, lam, t1, t2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_composition_gauss_integral_by_oracle(p):
+    # the law's x2 integral against the coset sum, which shares no code with
+    # the closed form, on a ball where the sum has stabilized
+    checked = 0
+    for args in _kernel_arguments()[:100]:
+        a, b, _ = _phase_coefficients(*args)
+        v = valuation_by_division
+        n0 = max(2, (3 - v(a, p)) // 2, v(2 * a, p) - v(b, p) + 1)  # v(0) is inf
+        try:
+            value = padic_gauss_oracle(a, b, p, n0)
+        except DomainError:  # the oracle's cost guard
+            continue
+        assert abs(value - gauss_factor(a, b, Place(p)).to_complex()) < 1e-9, args
+        checked += 1
+    assert checked >= 95
