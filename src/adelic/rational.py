@@ -65,8 +65,10 @@ _PSI_12 = _PSI[-1]
 
 _PRIME_LIMIT = 1 << 64
 
-# factorize divides out the primes below this bound before splitting with rho.
+# factorize divides out the primes below _TRIAL_BOUND, then splits a composite
+# cofactor by gcds with blocks of the primes below _BLOCK_BOUND, else with rho.
 _TRIAL_BOUND = 1000
+_BLOCK_BOUND = 1 << 16
 
 # Steps of Brent's rho one split of a composite below 2**_RHO_FULL_BITS may
 # take before factorize gives up.  rho needs about sqrt(q) steps to find a
@@ -89,16 +91,21 @@ _RHO_BATCH = 128
 _MAX_COFACTOR_BITS = 4096
 
 
-@lru_cache(maxsize=8)
-def primes_up_to(n: int) -> tuple[int, ...]:
-    """The primes p <= n, ascending, by the sieve of Eratosthenes; the last 8 bounds are cached."""
-    # entry k stands for the odd number 2k + 1, and compress reads the primes
-    # off with no Python loop over every integer up to n
+def _odd_sieve(n: int) -> bytearray:
+    """The sieve of Eratosthenes on the odd numbers: entry k is 1 when 2k + 1 <= n is prime."""
     sieve = bytearray([0]) + bytearray([1]) * ((n - 1) // 2)
     for i in range(3, math.isqrt(n) + 1, 2):
         if sieve[i // 2]:
             start = i * i // 2
             sieve[start::i] = bytes(len(range(start, len(sieve), i)))
+    return sieve
+
+
+@lru_cache(maxsize=8)
+def primes_up_to(n: int) -> tuple[int, ...]:
+    """The primes p <= n, ascending, by the sieve of Eratosthenes; the last 8 bounds are cached."""
+    # compress reads the primes off with no Python loop over every integer up to n
+    sieve = _odd_sieve(n)
     return (2, *compress(range(1, n + 1, 2), sieve)) if n > 1 else ()
 
 
@@ -165,7 +172,8 @@ def factorize(n: int) -> dict[int, int]:
     One gcd with the product of the primes below _TRIAL_BOUND finds the small
     prime factors, which alone are divided out.  Each remaining cofactor is
     proven prime by Miller-Rabin, found to be a perfect power, whose root is
-    factored instead, or split with Brent's rho.  Raises DomainError for a
+    factored instead, or split by a gcd with a block of the primes below
+    _BLOCK_BOUND, else with Brent's rho.  Raises DomainError for a
     cofactor of at least _PSI_12 that passes Miller-Rabin, since the
     witnesses prove nothing there, and for a split that exceeds its rho step
     cap (_RHO_STEP_LIMIT, scaled down past _RHO_FULL_BITS bits), or for a
@@ -206,9 +214,36 @@ def factorize(n: int) -> dict[int, int]:
                 f"a {m.bit_length()}-bit cofactor exceeds {_MAX_COFACTOR_BITS} bits (cost guard)"
             )
         else:
-            d = _rho_split(m)
+            d = _block_split(m) or _rho_split(m)
             pending += ((d, k), (m // d, k))
     return dict(sorted(factors.items()))
+
+
+def _block_split(m: int) -> int:
+    """A proper divisor of m, a composite with no prime factor below _TRIAL_BOUND, or 0.
+
+    The first block whose product shares a factor with m holds the least
+    prime factor of m.  0 when no block does, or when the gcd is m itself
+    (every prime factor of m in one block), and rho splits m instead.
+    """
+    for product in _block_products():
+        g = math.gcd(m, product)
+        if g > 1:
+            return g if g < m else 0
+    return 0
+
+
+@lru_cache(maxsize=None)
+def _block_products() -> tuple[int, ...]:
+    """Products of the primes in [1000 * 2**(k/4), 1000 * 2**((k+1)/4)) below _BLOCK_BOUND, k = 0..24.
+
+    Built from slices of the sieve on the first composite cofactor, not at import.
+    """
+    sieve = _odd_sieve(_BLOCK_BOUND - 1)
+    edges = [round(_TRIAL_BOUND * 2 ** (k / 4)) for k in range(25)] + [_BLOCK_BOUND]
+    # entry a // 2 of the sieve stands for a | 1, the least odd number from a
+    blocks = (compress(range(a | 1, b, 2), sieve[a // 2 : b // 2]) for a, b in zip(edges, edges[1:]))
+    return tuple(map(math.prod, blocks))
 
 
 def _rho_split(n: int) -> int:

@@ -141,6 +141,22 @@ MUTANTS = (
         ("tests/test_rational.py",),
     ),
     (
+        "the block gcds never answer, and every split walks rho",
+        "rational.py",
+        "            return g if g < m else 0\n",
+        "            return 0\n",
+        ("tests/test_rational.py",),
+    ),
+    (
+        # factorize then pushes the cofactor back whole and loops forever, so
+        # the direct check of _block_split on 1009 * 1013 is what fails
+        "a block gcd equal to the cofactor is taken for a divisor",
+        "rational.py",
+        "if g < m else",
+        "if g <= m else",
+        ("tests/test_rational.py",),
+    ),
+    (
         "factorize takes every perfect power for a square",
         "rational.py",
         "pending.append((root, k * j))",

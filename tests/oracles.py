@@ -200,11 +200,12 @@ def strong_probable_prime_all_bases(n: int) -> bool:
 
 
 def factorize_by_trial_and_rho(n: int) -> dict[int, int]:
-    """factorize as the library read before the gcd screen and the perfect-power test.
+    """factorize as the library read before the gcd screen, the perfect-power test and the block gcds.
 
     One % per prime below 1000 up to sqrt(n), then every cofactor that fails
     strong_probable_prime_all_bases is split with the library's Brent rho,
-    perfect powers included.
+    called directly, perfect powers and cofactors with a prime factor below
+    2**16 included.
     """
     if n == 0:
         raise DomainError("0 has no prime factorization")

@@ -129,6 +129,20 @@ def trial_division(n):
 PSI_12 = 318665857834031151167461
 
 
+@pytest.fixture
+def splits(monkeypatch):
+    """The cofactors factorize hands to rho in the test, in order."""
+    seen = []
+    rho_split = rational._rho_split
+
+    def counting(n):
+        seen.append(n)
+        return rho_split(n)
+
+    monkeypatch.setattr(rational, "_rho_split", counting)
+    return seen
+
+
 class TestFactorize:
     def test_examples(self):
         assert factorize(12) == {2: 2, 3: 1}
@@ -139,6 +153,23 @@ class TestFactorize:
         assert factorize(2**61 - 1) == {2**61 - 1: 1}
         assert factorize(2147483647 * 2147483629) == {2147483629: 1, 2147483647: 1}
         assert factorize(-(2**64 + 13)) == {2**64 + 13: 1}
+
+    def test_block_gcds_split_before_rho(self, splits):
+        # a prime of the first, a middle and the last block of [1000, 2**16)
+        # times primes above 2**16: a gcd with its block finds it, where rho
+        # walks about sqrt(p) steps
+        for p in (1009, 8009, 65519):
+            for q in (65537, 999999937, 2**61 - 1):
+                assert factorize(p * q) == {p: 1, q: 1}
+            assert factorize(p**2 * 65537**3) == {p: 2, 65537: 3}
+        assert splits == []
+
+    def test_two_primes_of_one_block_go_to_rho(self, splits):
+        # the gcd with the block of 1009 and 1013 is the cofactor itself,
+        # which divides nothing off
+        assert rational._block_split(1009 * 1013) == 0
+        assert factorize(1009 * 1013) == {1009: 1, 1013: 1}
+        assert splits == [1009 * 1013]
 
     def test_product_of_primes_below_a_million(self):
         expected = {2: 3, 3: 1, 7919: 2, 104729: 1, 524287: 1, 999979: 2, 999983: 3}
@@ -215,18 +246,13 @@ class TestFactorize:
             cases.append(prime_between(65_537, 1 << 24) * prime_between(65_537, 1 << 24))
             cases.append(rng.randint(2, 720) * prime_power())
             cases.append(rng.randint(1, 10**15))
+        for _ in range(60):
+            # one prime for the block gcds, one above them
+            cases.append(prime_between(1000, 1 << 16) * prime_between((1 << 16) + 1, 1 << 24))
         for n in cases:
             assert factorize(n) == factorize_by_trial_and_rho(n), n
 
-    def test_prime_powers_need_no_rho(self, monkeypatch):
-        splits = []
-
-        def counting(n):
-            splits.append(n)
-            return rho_split(n)
-
-        rho_split = rational._rho_split
-        monkeypatch.setattr(rational, "_rho_split", counting)
+    def test_prime_powers_need_no_rho(self, splits):
         for q in (1009, 1000003, 2**31 - 1):
             assert factorize(q**2) == {q: 2}
             assert factorize(-(q**3)) == {q: 3}
