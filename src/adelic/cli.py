@@ -146,14 +146,7 @@ def _cmd_legendre(ns: argparse.Namespace) -> int:
 def _cmd_mellin(ns: argparse.Namespace) -> int:
     _check_tolerance(ns.tol)
     comparison = special.mellin_vacuum(ns.a)
-    payload = {
-        "op": "mellin",
-        "a": ns.a,
-        "numeric": comparison.numeric,
-        "closed": comparison.closed,
-        "residual": comparison.residual,
-    }
-    _emit(ns, payload,
+    _emit(ns, {**comparison._asdict(), "op": "mellin", "a": ns.a},
           f"mellin({ns.a}): numeric {comparison.numeric:.12g}, closed {comparison.closed:.12g}, "
           f"residual {comparison.residual:.3e}")
     return 0 if comparison.residual <= ns.tol else 1

@@ -30,11 +30,9 @@ EXACT_PASS = "ExactPass"
 NUMERIC_PASS = "NumericPass"
 FAIL = "Fail"
 
-# the places at the primes up to 191, ascending, proven by the sieve: the 15
-# up to 47 screen the gamma product for poles, the 28 in (47, 191] are the
-# spot-check pool
-_SMALL_PLACES = tuple(Place._proven(p) for p in _TRIAL_PRIMES if p <= 191)
-_SCREEN_PLACES, _SPOT_CHECK_PLACES = _SMALL_PLACES[:15], _SMALL_PLACES[15:]
+# the spot-check pool: the places at the 28 primes in (47, 191], ascending,
+# proven by the sieve; the 15 primes up to 47 screen the gamma product for poles
+_SPOT_CHECK_PLACES = tuple(Place._proven(p) for p in _TRIAL_PRIMES[15:] if p <= 191)
 
 # a million trials of kernel-product at height 1e9, 0.7 ms each, take 12 minutes
 _MAX_TRIALS = 10**6
@@ -98,14 +96,8 @@ class VerificationReport(
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "args": list(self.args),
-            "factors": [{"place": p, "value": v} for p, v in self.factors],
-            "verdict": self.verdict,
-            "residual": self.residual,
-            "diagnostic": self.diagnostic,
-        }
+        factors = [{"place": p, "value": v} for p, v in self.factors]
+        return {**self._asdict(), "args": list(self.args), "factors": factors}
 
     to_json = _to_json
 
@@ -120,15 +112,8 @@ class SuiteReport(namedtuple("SuiteReport", "family trials height_bound seed ver
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "trials": self.trials,
-            "height_bound": self.height_bound,
-            "seed": self.seed,
-            "verdicts": {k: v for k, v in self.verdicts},
-            "failures": list(self.failures),
-            "all_passed": self.all_passed,
-        }
+        derived = {"verdicts": dict(self.verdicts), "failures": list(self.failures), "all_passed": self.all_passed}
+        return {**self._asdict(), **derived}
 
     to_json = _to_json
 
@@ -370,11 +355,11 @@ def _gamma_product(u: complex) -> tuple[complex, complex | None]:
         raise DomainError("the gamma product excludes u = 0 and u = 1")
     z_u = special.riemann_zeta(u)
     z_cu = special.riemann_zeta(1 - u)
-    # a pole screen at the primes up to 47, whose values nothing reads; deleting it waits on
-    # ROADMAP item 9 (three 20 s numeric pairs: ops_per_s +14-16%, peak_rss_mb +5.2-14.9%), and
-    # the strict xfail TestRawPartialProduct::test_a_pole_within_the_raw_bound_passes records it
-    for place in _SCREEN_PLACES:
-        special.gamma_local(u, place)
+    # a pole screen at the primes up to 47, whose local gamma factors nothing reads; deleting it
+    # waits on ROADMAP item 9 (three 20 s numeric pairs: ops_per_s +14-16%, peak_rss_mb +5.2-14.9%),
+    # and the strict xfail TestRawPartialProduct::test_a_pole_within_the_raw_bound_passes records it
+    for p in _TRIAL_PRIMES[:15]:
+        special._finite_factor(u, p, "gamma")
     if abs(z_cu) < _POLE_TOL:
         return 0j, None
     if abs(z_u) < _POLE_TOL:
